@@ -10,8 +10,6 @@ from .core import (
     Side,
     TriaxialSeries,
     WalkTask,
-    nearest_index,
-    time_of,
 )
 from .evaluate import (
     cadence_outlier_filter,
@@ -20,17 +18,7 @@ from .evaluate import (
     percent_error,
     phase_offsets,
 )
-from .fusion import (
-    HighLevelMode,
-    LowLevelMode,
-    StepDetection,
-    detect_high_level,
-    detect_single_side,
-    fuse_low_level,
-    intersect_fuse,
-    run_detector,
-    union_fuse,
-)
+from .fusion import intersect_fuse, union_fuse
 from .peaks import candidate_peaks, detect_peaks
 from .pipeline import CorpusEngine
 from .preprocess import (

@@ -87,6 +87,9 @@ def cmd_detect(args) -> int:
     params = _params_for(alg, args.params)
     dataset = load_corpus(args.corpus)
     engine = CorpusEngine(dataset)
+    # Every recording is detected before any output is opened, so a failure
+    # leaves no partial files behind.
+    steps_by_rid = {rec.id: engine.steps(alg, rec.id, params) for rec in dataset}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / f"steps_{alg.value}.csv", "w", newline="") as steps_f, open(
@@ -94,11 +97,10 @@ def cmd_detect(args) -> int:
     ) as counts_f:
         steps_f.write("recording_id,time,amplitude\n")
         counts_f.write("recording_id,count\n")
-        for rec in dataset:
-            det = engine.detect(alg, rec.id, params)
-            counts_f.write(f"{rec.id},{det.count}\n")
-            for t, a in zip(det.steps.times, det.steps.amplitudes):
-                steps_f.write(f"{rec.id},{_fmt(t)},{_fmt(a)}\n")
+        for rid, steps in steps_by_rid.items():
+            counts_f.write(f"{rid},{len(steps)}\n")
+            for t, a in zip(steps.times, steps.amplitudes):
+                steps_f.write(f"{rid},{_fmt(t)},{_fmt(a)}\n")
     ctx = engine.context_for(alg, params)
     dump_json(
         out / f"detect_{alg.value}.json",
@@ -112,26 +114,30 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _read_detections(det_dir: Path):
+def _read_detections(det_dir: Path, corpus_ids):
     counts_by_alg: Dict[AlgorithmId, Dict[str, int]] = {}
     times_by_alg: Dict[AlgorithmId, Dict[str, list]] = {}
+
+    def rows(path: Path, n_fields: int):
+        with open(path) as f:
+            f.readline()
+            for lineno, line in enumerate(f, start=2):
+                fields = line.strip().rsplit(",", n_fields - 1)
+                if fields[0] not in corpus_ids:
+                    raise FormatError(
+                        f"{path}:{lineno}: recording {fields[0]!r} is not in the corpus"
+                    )
+                yield fields
+
     for counts_path in sorted(det_dir.glob("counts_*.csv")):
         alg = AlgorithmId(counts_path.stem.replace("counts_", ""))
-        counts: Dict[str, int] = {}
-        with open(counts_path) as f:
-            header = f.readline()
-            for line in f:
-                rid, count = line.strip().rsplit(",", 1)
-                counts[rid] = int(count)
+        counts = {rid: int(count) for rid, count in rows(counts_path, 2)}
         counts_by_alg[alg] = counts
         steps_path = det_dir / f"steps_{alg.value}.csv"
         if steps_path.exists():
             times: Dict[str, list] = {rid: [] for rid in counts}
-            with open(steps_path) as f:
-                f.readline()
-                for line in f:
-                    rid, t, _a = line.strip().rsplit(",", 2)
-                    times.setdefault(rid, []).append(float(t))
+            for rid, t, _a in rows(steps_path, 3):
+                times.setdefault(rid, []).append(float(t))
             times_by_alg[alg] = times
     if not counts_by_alg:
         raise FormatError(
@@ -143,7 +149,7 @@ def _read_detections(det_dir: Path):
 def cmd_evaluate(args) -> int:
     dataset = load_corpus(args.corpus)
     det_dir = Path(args.detections)
-    counts_by_alg, times_by_alg = _read_detections(det_dir)
+    counts_by_alg, times_by_alg = _read_detections(det_dir, {rec.id for rec in dataset})
     phase_times = {
         alg: {rid: np.array(ts) for rid, ts in by_rid.items()}
         for alg, by_rid in times_by_alg.items()

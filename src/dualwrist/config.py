@@ -8,13 +8,13 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .core import DetectorParams, WalkTask
+from .core import WalkTask
 from .simulate import DEFAULT_TASK_COUNTS, CorpusSpec
 from .tuning import ParamGrid
 
 CONFIG_VERSION = 1
 
-_TOP_KEYS = {"version", "corpus", "cv", "grid", "params"}
+_TOP_KEYS = {"version", "corpus", "cv", "grid"}
 _CORPUS_KEYS = {"seed", "tasks"}
 _CV_KEYS = {"folds", "seed"}
 _GRID_KEYS = {
@@ -61,9 +61,6 @@ def validate_config(cfg: dict) -> dict:
         _reject_unknown(cfg["cv"], _CV_KEYS, "cv")
     if "grid" in cfg:
         _reject_unknown(cfg["grid"], _GRID_KEYS, "grid")
-    if "params" in cfg:
-        for alg, params in cfg["params"].items():
-            DetectorParams.from_dict(params)  # raises on unknown fields
     return cfg
 
 

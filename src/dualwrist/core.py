@@ -16,12 +16,6 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
-class TaskCategory(Enum):
-    UNCONSTRAINED = "unconstrained"
-    ARMS_CONSTRAINED = "arms_constrained"
-    ASYMMETRICAL = "asymmetrical"
-
-
 class WalkTask(Enum):
     SLOW_PACE = "slow_pace"
     COMFORTABLE_PACE = "comfortable_pace"
@@ -31,22 +25,6 @@ class WalkTask(Enum):
     NO_ARM_SWING = "no_arm_swing"
     NO_RIGHT_SHOE = "no_right_shoe"
     CANE_RIGHT_HAND = "cane_right_hand"
-
-    @property
-    def category(self) -> TaskCategory:
-        return _TASK_CATEGORY[self]
-
-
-_TASK_CATEGORY = {
-    WalkTask.SLOW_PACE: TaskCategory.UNCONSTRAINED,
-    WalkTask.COMFORTABLE_PACE: TaskCategory.UNCONSTRAINED,
-    WalkTask.FAST_PACE: TaskCategory.UNCONSTRAINED,
-    WalkTask.BAG_RIGHT_HAND: TaskCategory.ARMS_CONSTRAINED,
-    WalkTask.PHONE_TWO_HANDS: TaskCategory.ARMS_CONSTRAINED,
-    WalkTask.NO_ARM_SWING: TaskCategory.ARMS_CONSTRAINED,
-    WalkTask.NO_RIGHT_SHOE: TaskCategory.ASYMMETRICAL,
-    WalkTask.CANE_RIGHT_HAND: TaskCategory.ASYMMETRICAL,
-}
 
 
 class AlgorithmId(Enum):
@@ -144,19 +122,6 @@ class ScalarSeries:
             and self.t0 == other.t0
             and np.array_equal(self.values, other.values)
         )
-
-
-def time_of(series, index: int) -> float:
-    """Time in seconds of sample ``index``."""
-    if not 0 <= index < len(series):
-        raise IndexError(f"index {index} out of range for series of length {len(series)}")
-    return series.t0 + index / series.rate
-
-
-def nearest_index(series, t: float) -> int:
-    """Index of the sample closest to time ``t`` (inverse of :func:`time_of`)."""
-    idx = int(round((t - series.t0) * series.rate))
-    return min(max(idx, 0), len(series) - 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -76,17 +76,10 @@ class PhaseOffsets:
 def _nearest_offsets(times: np.ndarray, events: np.ndarray) -> np.ndarray:
     # Nearest event; exact midpoints resolve to the earlier event.
     pos = np.searchsorted(events, times)
-    out = np.empty(len(times))
-    for i, (t, p) in enumerate(zip(times, pos)):
-        candidates = []
-        if p > 0:
-            candidates.append(events[p - 1])
-        if p < len(events):
-            candidates.append(events[p])
-        # min() keeps the first (earlier) candidate on equal distance
-        best = min(candidates, key=lambda e: abs(t - e))
-        out[i] = t - best
-    return out
+    prev = events[np.maximum(pos - 1, 0)]
+    nxt = events[np.minimum(pos, len(events) - 1)]
+    use_next = (pos == 0) | ((pos < len(events)) & (np.abs(times - nxt) < np.abs(times - prev)))
+    return times - np.where(use_next, nxt, prev)
 
 
 def phase_offsets(steps: PeakSet, gt: GroundTruth) -> PhaseOffsets:
@@ -231,9 +224,10 @@ def summarize_counts(counts_by_alg: Mapping[AlgorithmId, Mapping[str, int]], dat
                 offs = phase_offsets(PeakSet(times=times, amplitudes=np.zeros(len(times))), gt)
                 heel_parts.append(offs.dt_heel)
                 toe_parts.append(offs.dt_toe)
+            if not any(len(h) for h in heel_parts):
+                continue  # no detected steps, so no offsets to summarize
             phase[alg] = PhaseReport(
-                dt_heel=np.concatenate(heel_parts) if heel_parts else np.empty(0),
-                dt_toe=np.concatenate(toe_parts) if toe_parts else np.empty(0),
+                dt_heel=np.concatenate(heel_parts), dt_toe=np.concatenate(toe_parts)
             )
     return EvaluationResult(rows=rows, summary=ErrorSummary(summary), per_task=per_task, phase=phase)
 

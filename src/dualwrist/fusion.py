@@ -1,81 +1,39 @@
-"""The six step-detection pipelines: single side, low-level, high-level fusion."""
+"""Detector stages on signals and peaks: smoothed wrist magnitudes, the
+low-level fused signal, and the intersect and union fusion of two wrists' steps.
+
+:class:`dualwrist.pipeline.CorpusEngine` composes them into the six detectors.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import AlgorithmId, DetectorParams, PeakSet, Recording, ScalarSeries, Side
-from .peaks import detect_peaks, greedy_nms, priority_rank
-from .preprocess import NormalizationContext, magnitude, min_max_normalize, moving_average
-
-
-class LowLevelMode(Enum):
-    SUM = "sum"
-    DIFF = "diff"
-
-
-class HighLevelMode(Enum):
-    INTERSECT = "intersect"
-    UNION = "union"
-
-
-@dataclass(frozen=True)
-class StepDetection:
-    """Result of running one detector on one recording. Each peak is one step."""
-
-    algorithm: AlgorithmId
-    steps: PeakSet
-    count: int
-
-    def __post_init__(self):
-        if self.count != len(self.steps):
-            raise ValueError("count must equal the number of detected steps")
+from .peaks import greedy_nms, priority_rank
+from .preprocess import magnitude, moving_average
 
 
 def smoothed_magnitude(rec: Recording, side: Side, window: float) -> ScalarSeries:
     return moving_average(magnitude(rec.side(side)), window)
 
 
-def fused_signal(rec: Recording, mode: LowLevelMode, params: DetectorParams) -> ScalarSeries:
-    """Pointwise sum or absolute difference of the smoothed magnitudes, re-smoothed."""
+def fused_signal(rec: Recording, alg: AlgorithmId, params: DetectorParams) -> ScalarSeries:
+    """Pointwise sum (``LOW_LEVEL_SUM``) or absolute difference
+    (``LOW_LEVEL_DIFF``) of the smoothed magnitudes, re-smoothed."""
     if params.smooth_fused is None:
         raise ValueError("low-level fusion requires smooth_fused")
     n_l = smoothed_magnitude(rec, Side.LEFT, params.smooth_single)
     n_r = smoothed_magnitude(rec, Side.RIGHT, params.smooth_single)
     if len(n_l) != len(n_r):
         raise ValueError("left and right signals must be aligned sample-for-sample")
-    if mode is LowLevelMode.SUM:
+    if alg is AlgorithmId.LOW_LEVEL_SUM:
         combined = n_r.values + n_l.values
-    else:
+    elif alg is AlgorithmId.LOW_LEVEL_DIFF:
         combined = np.abs(n_r.values - n_l.values)
+    else:
+        raise ValueError(f"{alg.value} is not a low-level fusion")
     return moving_average(n_l.with_values(combined), params.smooth_fused)
-
-
-def detect_single_side(
-    rec: Recording, side: Side, params: DetectorParams, ctx: NormalizationContext
-) -> StepDetection:
-    """magnitude -> moving average -> corpus min-max normalize -> peak detection."""
-    sig = min_max_normalize(smoothed_magnitude(rec, side, params.smooth_single), ctx)
-    steps = detect_peaks(sig, params.min_peak_amp, params.min_peak_gap)
-    alg = AlgorithmId.NO_FUSION_LEFT if side is Side.LEFT else AlgorithmId.NO_FUSION_RIGHT
-    return StepDetection(algorithm=alg, steps=steps, count=len(steps))
-
-
-def fuse_low_level(
-    rec: Recording, mode: LowLevelMode, params: DetectorParams, ctx: NormalizationContext
-) -> StepDetection:
-    """Combine the smoothed magnitudes before detection.
-
-    ``ctx`` must be fitted on the fused signals of the corpus, not the
-    per-sensor ones.
-    """
-    sig = min_max_normalize(fused_signal(rec, mode, params), ctx)
-    steps = detect_peaks(sig, params.min_peak_amp, params.min_peak_gap)
-    alg = AlgorithmId.LOW_LEVEL_SUM if mode is LowLevelMode.SUM else AlgorithmId.LOW_LEVEL_DIFF
-    return StepDetection(algorithm=alg, steps=steps, count=len(steps))
 
 
 def _joint_key(group: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -159,49 +117,3 @@ def union_fuse(t_left: PeakSet, t_right: PeakSet, min_dist: float) -> PeakSet:
     times, amps, src = times[by_time], amps[by_time], src[by_time]
     keep = greedy_nms(times, priority_rank(times, -src, -amps), min_dist)
     return PeakSet(times=times[keep], amplitudes=amps[keep])
-
-
-def detect_high_level(
-    rec: Recording, mode: HighLevelMode, params: DetectorParams, ctx: NormalizationContext
-) -> StepDetection:
-    """Per-wrist single-side pipeline (shared parameters), then event fusion."""
-    sides = {}
-    for side in (Side.LEFT, Side.RIGHT):
-        sig = min_max_normalize(smoothed_magnitude(rec, side, params.smooth_single), ctx)
-        sides[side] = detect_peaks(sig, params.min_peak_amp, params.min_peak_gap)
-    if mode is HighLevelMode.INTERSECT:
-        if params.fuse_max_dist is None:
-            raise ValueError("intersection fusion requires fuse_max_dist")
-        if params.fuse_max_dist > params.min_peak_gap:
-            raise ValueError("fuse_max_dist must not exceed min_peak_gap")
-        steps = intersect_fuse(sides[Side.LEFT], sides[Side.RIGHT], params.fuse_max_dist)
-        alg = AlgorithmId.HIGH_LEVEL_INTERSECT
-    else:
-        if params.fuse_min_dist is None:
-            raise ValueError("union fusion requires fuse_min_dist")
-        steps = union_fuse(sides[Side.LEFT], sides[Side.RIGHT], params.fuse_min_dist)
-        alg = AlgorithmId.HIGH_LEVEL_UNION
-    return StepDetection(algorithm=alg, steps=steps, count=len(steps))
-
-
-def run_detector(
-    alg: AlgorithmId, rec: Recording, params: DetectorParams, ctx: NormalizationContext
-) -> StepDetection:
-    """Dispatch over the six detector variants.
-
-    ``ctx`` must match the algorithm family: per-sensor smoothed magnitudes for
-    single-side and high-level, fused signals for low-level.
-    """
-    if alg is AlgorithmId.NO_FUSION_LEFT:
-        return detect_single_side(rec, Side.LEFT, params, ctx)
-    if alg is AlgorithmId.NO_FUSION_RIGHT:
-        return detect_single_side(rec, Side.RIGHT, params, ctx)
-    if alg is AlgorithmId.LOW_LEVEL_SUM:
-        return fuse_low_level(rec, LowLevelMode.SUM, params, ctx)
-    if alg is AlgorithmId.LOW_LEVEL_DIFF:
-        return fuse_low_level(rec, LowLevelMode.DIFF, params, ctx)
-    if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
-        return detect_high_level(rec, HighLevelMode.INTERSECT, params, ctx)
-    if alg is AlgorithmId.HIGH_LEVEL_UNION:
-        return detect_high_level(rec, HighLevelMode.UNION, params, ctx)
-    raise ValueError(f"unknown algorithm: {alg}")

@@ -164,12 +164,7 @@ def context_to_json(ctx: NormalizationContext) -> dict:
     return {"global_min": ctx.global_min, "global_max": ctx.global_max}
 
 
-def context_from_json(d: dict) -> NormalizationContext:
-    return NormalizationContext(global_min=d["global_min"], global_max=d["global_max"])
-
-
-def write_manifest(out_dir, recordings: List[Recording], file_maps: Dict[str, Dict[str, str]],
-                   contexts: Optional[Dict[str, NormalizationContext]] = None) -> None:
+def write_manifest(out_dir, recordings: List[Recording], file_maps: Dict[str, Dict[str, str]]) -> None:
     manifest = {
         "format_version": FORMAT_VERSION,
         "recordings": {
@@ -182,9 +177,6 @@ def write_manifest(out_dir, recordings: List[Recording], file_maps: Dict[str, Di
                 "files": file_maps[rec.id],
             }
             for rec in recordings
-        },
-        "contexts": {
-            name: context_to_json(ctx) for name, ctx in (contexts or {}).items()
         },
     }
     dump_json(Path(out_dir) / MANIFEST_NAME, manifest)
@@ -207,7 +199,8 @@ def load_manifest(corpus_dir) -> dict:
 
 
 def load_corpus(corpus_dir) -> List[Recording]:
-    """Load every recording referenced by the manifest, manifest order."""
+    """Load every recording referenced by the manifest, in sorted id order
+    (the order ``dump_json`` writes the manifest's recordings in)."""
     corpus_dir = Path(corpus_dir)
     manifest = load_manifest(corpus_dir)
     return [

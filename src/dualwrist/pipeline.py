@@ -1,9 +1,11 @@
-"""Corpus-level detection engine.
+"""Corpus-level detection engine: the one definition of the six detectors.
 
-Runs the same pipelines as :mod:`dualwrist.fusion`, with normalization
-contexts and peak candidates computed once per signal family over the whole
-corpus, and counts whole parameter grids at once for tuning. Results are
-identical to the plain per-recording functions.
+Each detector is four stages: a signal family (both wrists' smoothed
+magnitudes, or the low-level fused signal), min-max normalized candidate
+peaks, gap suppression, and, for high-level fusion, intersect or union of the
+two wrists' steps. Normalization contexts and candidates are computed once per
+signal family over the whole corpus, and tuning counts whole parameter grids
+at once.
 """
 from __future__ import annotations
 
@@ -14,22 +16,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import AlgorithmId, DetectorParams, PeakSet, Recording, ScalarSeries, Side
-from .fusion import (
-    LowLevelMode,
-    StepDetection,
-    fused_signal,
-    intersect_fuse,
-    mutual_nearest,
-    smoothed_magnitude,
-    union_fuse,
-)
+from .fusion import fused_signal, intersect_fuse, mutual_nearest, smoothed_magnitude, union_fuse
 from .peaks import candidate_peaks, greedy_nms, priority_rank, suppress_peaks
 from .preprocess import NormalizationContext, fit_normalization, min_max_normalize
-
-_LOW_LEVEL_MODE = {
-    AlgorithmId.LOW_LEVEL_SUM: LowLevelMode.SUM,
-    AlgorithmId.LOW_LEVEL_DIFF: LowLevelMode.DIFF,
-}
 
 # Streams of its signal family that each algorithm detects on: the left (0)
 # and right (1) wrist of a single-side family, or the fused signal (0).
@@ -45,8 +34,8 @@ _STREAMS = {
 
 def _family_key(alg: AlgorithmId, params: DetectorParams) -> Tuple:
     """The parameters that fix the signals ``alg`` detects on."""
-    if alg in _LOW_LEVEL_MODE:
-        return (_LOW_LEVEL_MODE[alg], params.smooth_single, params.smooth_fused)
+    if alg in (AlgorithmId.LOW_LEVEL_SUM, AlgorithmId.LOW_LEVEL_DIFF):
+        return (alg, params.smooth_single, params.smooth_fused)
     return (None, params.smooth_single, None)
 
 
@@ -158,6 +147,8 @@ class CorpusEngine:
     # -- detection ----------------------------------------------------------
 
     def steps(self, alg: AlgorithmId, rid: str, params: DetectorParams) -> PeakSet:
+        """The steps ``alg`` detects in recording ``rid``: the gated and
+        gap-suppressed candidates of each of its streams, fused when it has two."""
         i = self._index[rid]
         family = self._load(alg, params)
         if i in family.errors:
@@ -173,17 +164,10 @@ class CorpusEngine:
             return intersect_fuse(sides[0], sides[1], dist)
         return union_fuse(sides[0], sides[1], dist)
 
-    def count(self, alg: AlgorithmId, rid: str, params: DetectorParams) -> int:
-        return len(self.steps(alg, rid, params))
-
-    def detect(self, alg: AlgorithmId, rid: str, params: DetectorParams) -> StepDetection:
-        steps = self.steps(alg, rid, params)
-        return StepDetection(algorithm=alg, steps=steps, count=len(steps))
-
     # -- grid counts --------------------------------------------------------
 
     def count_tensor(self, alg: AlgorithmId, points: Sequence[DetectorParams]) -> np.ndarray:
-        """``counts[p, r] == count(alg, r, points[p])`` for every grid point
+        """``counts[p, r] == len(steps(alg, r, points[p]))`` for every grid point
         and every recording, in corpus order.
 
         Each suppression or union pass runs over the whole corpus at once,

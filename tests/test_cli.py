@@ -1,5 +1,6 @@
 """End-to-end command-line workflows."""
 import json
+import shutil
 
 import pytest
 
@@ -40,6 +41,13 @@ def workspace(tmp_path_factory):
         "--corpus", str(root / "corpus"), "--out", str(root / "det"),
     ]) == 0
     return root, cfg
+
+
+def _strict_json(path):
+    """Parse ``path``, rejecting the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"{path}: non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestSimulate:
@@ -123,6 +131,25 @@ class TestDetect:
         for name in ("steps_left.csv", "counts_left.csv", "detect_left.json"):
             assert (tmp_path / "da" / name).read_bytes() == (tmp_path / "db" / name).read_bytes()
 
+    def test_failure_leaves_no_partial_outputs(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        csv = corpus / "slow_pace_000_left.csv"
+        lines = csv.read_text().split("\n")
+        fields = lines[50].split(",")
+        fields[1] = "nan"
+        lines[50] = ",".join(fields)
+        csv.write_text("\n".join(lines))
+        out = tmp_path / "det"
+        assert cli_main([
+            "detect", "--alg", "union", "--params", str(root / "tuned" / "tuned_params.json"),
+            "--corpus", str(corpus), "--out", str(out),
+        ]) == 1
+        assert "values must be finite" in capsys.readouterr().err
+        assert not (out / "steps_union.csv").exists()
+        assert not (out / "counts_union.csv").exists()
+
 
 class TestEvaluateAndReport:
     def test_evaluate_before_detect_fails_cleanly(self, workspace, tmp_path, capsys):
@@ -144,7 +171,7 @@ class TestEvaluateAndReport:
             "evaluate", "--corpus", str(root / "corpus"),
             "--detections", str(root / "det"), "--out", str(out),
         ]) == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = _strict_json(out / "summary.json")
         assert "union" in summary["per_algorithm"]
         assert "union" in summary["phase"]
         long_rows = (out / "results_long.csv").read_text().splitlines()
@@ -160,6 +187,39 @@ class TestEvaluateAndReport:
         text = capsys.readouterr().out
         assert "slow_pace" in text and "union" in text
         assert "mean|err|" in text
+
+    def test_detections_without_steps_give_no_phase(self, workspace, tmp_path):
+        root, _ = workspace
+        det = tmp_path / "det"
+        det.mkdir()
+        shutil.copy(root / "det" / "counts_union.csv", det)
+        (det / "steps_union.csv").write_text("recording_id,time,amplitude\n")
+        out = tmp_path / "eval"
+        assert cli_main([
+            "evaluate", "--corpus", str(root / "corpus"),
+            "--detections", str(det), "--out", str(out),
+        ]) == 0
+        summary = _strict_json(out / "summary.json")
+        assert "union" in summary["per_algorithm"]
+        assert summary["phase"] == {}
+
+    def test_detections_from_another_corpus_fail_cleanly(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        cfg = tmp_path / "other.json"
+        write_config({"version": 1, "corpus": {"seed": 7, "tasks": {"no_arm_swing": 2}}}, cfg)
+        assert cli_main(["simulate", "--spec", str(cfg), "--out", str(tmp_path / "other")]) == 0
+        assert cli_main([
+            "detect", "--alg", "union", "--params", str(root / "tuned" / "tuned_params.json"),
+            "--corpus", str(tmp_path / "other"), "--out", str(tmp_path / "det"),
+        ]) == 0
+        capsys.readouterr()
+        code = cli_main([
+            "evaluate", "--corpus", str(root / "corpus"),
+            "--detections", str(tmp_path / "det"), "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "counts_union.csv:2: recording 'no_arm_swing_000' is not in the corpus" in err
 
     def test_report_without_evaluation_fails(self, tmp_path, capsys):
         code = cli_main(["report", "--evaluation", str(tmp_path)])

@@ -11,39 +11,10 @@ from dualwrist import (
     ScalarSeries,
     TriaxialSeries,
     WalkTask,
-    nearest_index,
-    time_of,
 )
-from dualwrist.core import PARAM_FIELD_ORDER, Side, TaskCategory, required_param_fields
+from dualwrist.core import PARAM_FIELD_ORDER, Side, required_param_fields
 
 from conftest import peaks, scalar, triaxial
-
-
-class TestTimeMapping:
-    def test_time_of_example(self):
-        s = scalar(np.zeros(128), rate=128.0, t0=2.5)
-        assert time_of(s, 64) == pytest.approx(3.0)
-
-    def test_time_of_first_sample_is_t0(self):
-        s = scalar([1.0, 2.0], rate=10.0, t0=7.25)
-        assert time_of(s, 0) == 7.25
-
-    def test_time_of_out_of_range(self):
-        s = scalar([1.0, 2.0])
-        with pytest.raises(IndexError):
-            time_of(s, 2)
-        with pytest.raises(IndexError):
-            time_of(s, -1)
-
-    def test_nearest_index_inverts_time_of(self):
-        s = scalar(np.zeros(50), rate=32.0, t0=1.5)
-        for i in range(len(s)):
-            assert nearest_index(s, time_of(s, i)) == i
-
-    def test_nearest_index_clamps(self):
-        s = scalar(np.zeros(10), rate=10.0)
-        assert nearest_index(s, -100.0) == 0
-        assert nearest_index(s, 100.0) == 9
 
 
 class TestSeries:
@@ -215,16 +186,6 @@ class TestRecording:
 class TestTaskTaxonomy:
     def test_eight_tasks(self):
         assert len(WalkTask) == 8
-
-    def test_categories(self):
-        assert WalkTask.SLOW_PACE.category is TaskCategory.UNCONSTRAINED
-        assert WalkTask.COMFORTABLE_PACE.category is TaskCategory.UNCONSTRAINED
-        assert WalkTask.FAST_PACE.category is TaskCategory.UNCONSTRAINED
-        assert WalkTask.BAG_RIGHT_HAND.category is TaskCategory.ARMS_CONSTRAINED
-        assert WalkTask.PHONE_TWO_HANDS.category is TaskCategory.ARMS_CONSTRAINED
-        assert WalkTask.NO_ARM_SWING.category is TaskCategory.ARMS_CONSTRAINED
-        assert WalkTask.NO_RIGHT_SHOE.category is TaskCategory.ASYMMETRICAL
-        assert WalkTask.CANE_RIGHT_HAND.category is TaskCategory.ASYMMETRICAL
 
     def test_six_algorithms(self):
         assert [a.value for a in AlgorithmId] == [

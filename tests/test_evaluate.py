@@ -147,6 +147,18 @@ class TestPhaseOffsets:
         offs = phase_offsets(peaks([1.5]), gt)
         assert np.allclose(offs.dt_toe, [0.5])
 
+    # Times on a 1/64 s grid keep every distance exact, so midpoints are true ties.
+    @given(st.lists(st.integers(0, 640), min_size=1, max_size=20, unique=True),
+           st.lists(st.integers(-64, 704), max_size=40, unique=True))
+    @settings(max_examples=200)
+    def test_matches_brute_force_nearest(self, toe_q, step_q):
+        toes = np.sort(toe_q) / 64
+        times = np.sort(step_q) / 64
+        offs = phase_offsets(peaks(times), _gt(toes, []))
+        # min() over (distance, time) picks the earlier toe-off on a tie.
+        expected = [t - min(toes, key=lambda e: (abs(t - e), e)) for t in times]
+        assert np.array_equal(offs.dt_toe, np.array(expected, dtype=float))
+
     def test_signed_offsets(self):
         gt = _gt([1.0], [2.0])
         offs = phase_offsets(peaks([0.9, 2.2]), gt)

@@ -6,19 +6,12 @@ from hypothesis import strategies as st
 
 from dualwrist import (
     AlgorithmId,
+    CorpusEngine,
     DetectorParams,
-    HighLevelMode,
-    LowLevelMode,
-    NormalizationContext,
     PeakSet,
     Side,
-    StepDetection,
-    detect_high_level,
-    detect_single_side,
     fit_normalization,
-    fuse_low_level,
     intersect_fuse,
-    run_detector,
     union_fuse,
 )
 from dualwrist.fusion import fused_signal, smoothed_magnitude
@@ -203,7 +196,7 @@ class TestLowLevelFusion:
         rec = recording_from_signals(z, z)
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.0,
                                 min_peak_gap=0.0, smooth_fused=0.0)
-        sig = fused_signal(rec, LowLevelMode.DIFF, params)
+        sig = fused_signal(rec, AlgorithmId.LOW_LEVEL_DIFF, params)
         assert np.allclose(sig.values, 0.0)
 
     def test_diff_single_sample_example(self):
@@ -211,13 +204,13 @@ class TestLowLevelFusion:
                                      rate=1.0)
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.0,
                                 min_peak_gap=0.0, smooth_fused=0.0)
-        sig = fused_signal(rec, LowLevelMode.DIFF, params)
+        sig = fused_signal(rec, AlgorithmId.LOW_LEVEL_DIFF, params)
         # |1-0|, |0-1| at samples 1 and 2 form a plateau peak at its start.
         assert np.allclose(sig.values, [0.0, 1.0, 1.0, 0.0])
-        ctx = fit_normalization([sig])
-        det = fuse_low_level(rec, LowLevelMode.DIFF, params, ctx)
-        assert det.count == 1
-        assert np.allclose(det.steps.times, [1.0])
+        engine = CorpusEngine([rec])
+        assert engine.context_for(AlgorithmId.LOW_LEVEL_DIFF, params) == fit_normalization([sig])
+        steps = engine.steps(AlgorithmId.LOW_LEVEL_DIFF, rec.id, params)
+        assert np.allclose(steps.times, [1.0])
 
     def test_sum_is_sum_of_magnitudes(self):
         left = np.array([0.0, 2.0, 0.0, 0.0])
@@ -225,14 +218,22 @@ class TestLowLevelFusion:
         rec = recording_from_signals(left, right, rate=1.0)
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.0,
                                 min_peak_gap=0.0, smooth_fused=0.0)
-        sig = fused_signal(rec, LowLevelMode.SUM, params)
+        sig = fused_signal(rec, AlgorithmId.LOW_LEVEL_SUM, params)
         assert np.allclose(sig.values, left + right)
 
     def test_requires_smooth_fused(self):
         rec = recording_from_signals([0.0, 1.0, 0.0], [0.0, 1.0, 0.0])
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.0, min_peak_gap=0.0)
         with pytest.raises(ValueError, match="smooth_fused"):
-            fused_signal(rec, LowLevelMode.SUM, params)
+            fused_signal(rec, AlgorithmId.LOW_LEVEL_SUM, params)
+        params = DetectorParams(smooth_single=0.0, min_peak_amp=0.0, min_peak_gap=0.0,
+                                smooth_fused=0.0)
+        with pytest.raises(ValueError, match="not a low-level fusion"):
+            fused_signal(rec, AlgorithmId.HIGH_LEVEL_UNION, params)
+
+
+def _single_side_context(rec):
+    return fit_normalization([smoothed_magnitude(rec, s, 0.0) for s in (Side.LEFT, Side.RIGHT)])
 
 
 class TestSingleSide:
@@ -240,79 +241,57 @@ class TestSingleSide:
         z = _impulse_train(64, [16, 32, 48])
         rec = recording_from_signals(z, np.zeros(64), rate=4.0)
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.5, min_peak_gap=1.0)
-        ctx = fit_normalization([smoothed_magnitude(rec, s, 0.0)
-                                 for s in (Side.LEFT, Side.RIGHT)])
-        det = detect_single_side(rec, Side.LEFT, params, ctx)
-        assert det.algorithm is AlgorithmId.NO_FUSION_LEFT
-        assert np.allclose(det.steps.times, [4.0, 8.0, 12.0])
+        engine = CorpusEngine([rec])
+        assert engine.context_for(AlgorithmId.NO_FUSION_LEFT, params) == _single_side_context(rec)
+        steps = engine.steps(AlgorithmId.NO_FUSION_LEFT, rec.id, params)
+        assert np.allclose(steps.times, [4.0, 8.0, 12.0])
         # The silent wrist sees nothing above the gate.
-        det_r = detect_single_side(rec, Side.RIGHT, params, ctx)
-        assert det_r.count == 0
+        assert len(engine.steps(AlgorithmId.NO_FUSION_RIGHT, rec.id, params)) == 0
 
 
 class TestHighLevel:
-    def _rec_and_ctx(self):
+    def _steps(self, alg, params):
         left = _impulse_train(64, [16, 32])
         right = _impulse_train(64, [17, 48])
         rec = recording_from_signals(left, right, rate=4.0)
-        ctx = fit_normalization([smoothed_magnitude(rec, s, 0.0)
-                                 for s in (Side.LEFT, Side.RIGHT)])
-        return rec, ctx
+        engine = CorpusEngine([rec])
+        assert engine.context_for(alg, params) == _single_side_context(rec)
+        return engine.steps(alg, rec.id, params)
 
     def test_intersect_keeps_only_paired(self):
-        rec, ctx = self._rec_and_ctx()
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.5,
                                 min_peak_gap=1.0, fuse_max_dist=0.5)
-        det = detect_high_level(rec, HighLevelMode.INTERSECT, params, ctx)
-        assert det.algorithm is AlgorithmId.HIGH_LEVEL_INTERSECT
         # Only 16/17 (0.25 s apart) pair up; 32 and 48 are unmatched.
-        assert det.count == 1
+        assert len(self._steps(AlgorithmId.HIGH_LEVEL_INTERSECT, params)) == 1
 
     def test_union_keeps_all_distinct(self):
-        rec, ctx = self._rec_and_ctx()
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.5,
                                 min_peak_gap=1.0, fuse_min_dist=0.5)
-        det = detect_high_level(rec, HighLevelMode.UNION, params, ctx)
         # 16/17 collapse into one event; 32 and 48 stay.
-        assert det.count == 3
+        assert len(self._steps(AlgorithmId.HIGH_LEVEL_UNION, params)) == 3
 
     def test_intersect_requires_fuse_max_dist(self):
-        rec, ctx = self._rec_and_ctx()
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.5, min_peak_gap=1.0)
         with pytest.raises(ValueError, match="fuse_max_dist"):
-            detect_high_level(rec, HighLevelMode.INTERSECT, params, ctx)
+            self._steps(AlgorithmId.HIGH_LEVEL_INTERSECT, params)
 
     def test_union_requires_fuse_min_dist(self):
-        rec, ctx = self._rec_and_ctx()
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.5, min_peak_gap=1.0)
         with pytest.raises(ValueError, match="fuse_min_dist"):
-            detect_high_level(rec, HighLevelMode.UNION, params, ctx)
+            self._steps(AlgorithmId.HIGH_LEVEL_UNION, params)
 
 
 class TestDispatchAndResult:
-    def test_step_detection_count_must_match(self):
-        with pytest.raises(ValueError):
-            StepDetection(algorithm=AlgorithmId.NO_FUSION_LEFT,
-                          steps=peaks([1.0]), count=2)
-
-    def test_run_detector_covers_all_algorithms(self):
+    def test_engine_covers_all_algorithms(self):
         z = _impulse_train(64, [16, 32, 48])
         rec = recording_from_signals(z, z, rate=4.0)
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.5, min_peak_gap=1.0,
                                 smooth_fused=0.0, fuse_max_dist=0.5, fuse_min_dist=0.5)
-        single_ctx = fit_normalization([smoothed_magnitude(rec, s, 0.0)
-                                        for s in (Side.LEFT, Side.RIGHT)])
+        engine = CorpusEngine([rec])
         for alg in AlgorithmId:
-            if alg in (AlgorithmId.LOW_LEVEL_SUM, AlgorithmId.LOW_LEVEL_DIFF):
-                mode = LowLevelMode.SUM if alg is AlgorithmId.LOW_LEVEL_SUM else LowLevelMode.DIFF
-                ctx = fit_normalization([fused_signal(rec, mode, params)])
-                if alg is AlgorithmId.LOW_LEVEL_DIFF:
-                    # Identical wrists: the difference signal is flat zero.
-                    with pytest.raises(ValueError, match="min == max"):
-                        run_detector(alg, rec, params, ctx)
-                    continue
-            else:
-                ctx = single_ctx
-            det = run_detector(alg, rec, params, ctx)
-            assert det.algorithm is alg
-            assert det.count == 3
+            if alg is AlgorithmId.LOW_LEVEL_DIFF:
+                # Identical wrists: the difference signal is flat zero.
+                with pytest.raises(ValueError, match="min == max"):
+                    engine.steps(alg, rec.id, params)
+                continue
+            assert len(engine.steps(alg, rec.id, params)) == 3

@@ -162,11 +162,11 @@ class TestGridSearch:
             best = grid_search(recs, alg, SMALL_GRID, engine=engine)
             pts = SMALL_GRID.points(alg)
             assert best in pts
-            best_err = rmse([engine.count(alg, r.id, best) for r in recs], labels)
+            best_err = rmse([len(engine.steps(alg, r.id, best)) for r in recs], labels)
             # Exhaustive re-scan: nothing in the grid beats the winner, and the
             # winner is the first grid point achieving its score.
             for p in pts:
-                err = rmse([engine.count(alg, r.id, p) for r in recs], labels)
+                err = rmse([len(engine.steps(alg, r.id, p)) for r in recs], labels)
                 assert err >= best_err
                 if err == best_err:
                     assert p == best
