@@ -214,7 +214,8 @@ def cmd_report(args) -> int:
     print("Overall |percent error| mean and Pearson r:")
     for a in algs:
         s = summary["per_algorithm"][a]
-        print(f"  {a:<10} mean|err| {s['mean_abs']:6.2f}%   r {s['pearson_r']:.4f}")
+        r = "n/a" if s["pearson_r"] is None else f"{s['pearson_r']:.4f}"
+        print(f"  {a:<10} mean|err| {s['mean_abs']:6.2f}%   r {r}")
     return 0
 
 

@@ -96,7 +96,11 @@ def phase_offsets(steps: PeakSet, gt: GroundTruth) -> PhaseOffsets:
 
 @dataclass(frozen=True)
 class AlgorithmSummary:
-    """Distribution of signed percent errors for one algorithm."""
+    """Distribution of signed percent errors for one algorithm.
+
+    ``pearson_r`` of counts against labels is ``None`` where it is undefined:
+    fewer than two recordings, or counts or labels that do not vary.
+    """
 
     mean: float
     median: float
@@ -105,7 +109,7 @@ class AlgorithmSummary:
     p5: float
     p95: float
     mean_abs: float
-    pearson_r: float
+    pearson_r: Optional[float]
 
     def to_dict(self) -> dict:
         return {
@@ -173,7 +177,7 @@ def _summarize(errors: Sequence[float], counts: Sequence[int], labels: Sequence[
     try:
         r = pearson_r(counts, labels)
     except ValueError:
-        r = float("nan")
+        r = None
     return AlgorithmSummary(
         mean=float(np.mean(e)),
         median=float(np.median(e)),

@@ -8,8 +8,10 @@ point for a session directory.
 from __future__ import annotations
 
 import json
+import math
+from itertools import filterfalse
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .preprocess import NormalizationContext
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
+_COLUMNS = ("t", "ax", "ay", "az")
 
 
 class FormatError(ValueError):
@@ -36,36 +39,68 @@ def _write_series_csv(path: Path, series: TriaxialSeries) -> None:
             f.write(f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(z)}\n")
 
 
+def _loadtxt(rows: List[str], usecols: Optional[List[int]] = None) -> np.ndarray:
+    return np.loadtxt(rows, delimiter=",", comments=None, usecols=usecols, ndmin=2)
+
+
+def _row_error(rows: List[str], ncols: int) -> Tuple[int, str]:
+    """The first row that is not ``ncols`` numbers, and what is wrong with it.
+
+    Found by bisection on row prefixes, so that ``np.loadtxt`` stays the one
+    parser and its error text is never read.
+    """
+    def parses(part: List[str], usecols: Optional[List[int]] = None) -> bool:
+        try:
+            return _loadtxt(part, usecols).shape[1] == (ncols if usecols is None else 1)
+        except ValueError:
+            return False
+
+    good, bad = 0, len(rows)  # rows[:good] parse, rows[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if parses(rows[:mid]) else (good, mid)
+    fields = rows[good].strip().split(",")
+    if len(fields) != ncols:
+        return good, f"expected {ncols} fields"
+    col = next(c for c in range(ncols) if not parses([rows[good]], [c]))
+    return good, f"could not convert string to float: {fields[col]!r}"
+
+
+def _line_of(lines: List[str], row: int) -> int:
+    """The 1-based file line of data row ``row``; ``lines`` follow the header."""
+    return [n for n, line in enumerate(lines, start=2) if not line.isspace()][row]
+
+
+def _check(path: Path, lines: List[str], bad: np.ndarray, message: str) -> None:
+    """Raise at the file line of the first data row where ``bad`` holds."""
+    if bad.any():
+        raise FormatError(f"{path}:{_line_of(lines, int(bad.argmax()))}: {message}")
+
+
 def _read_series_csv(path: Path, rate: float, t0: float) -> TriaxialSeries:
     with open(path) as f:
-        header = f.readline().strip()
-        cols = header.split(",")
-        required = ["t", "ax", "ay", "az"]
-        for col in required:
-            if col not in cols:
-                raise FormatError(f"{path}: missing column {col!r}")
-        index = {c: cols.index(c) for c in required}
-        data = {c: [] for c in required}
-        prev_t = -np.inf
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(cols):
-                raise FormatError(f"{path}:{lineno}: expected {len(cols)} fields")
-            try:
-                row = {c: float(parts[index[c]]) for c in required}
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            if row["t"] <= prev_t:
-                raise FormatError(f"{path}:{lineno}: non-monotonic timestamp")
-            prev_t = row["t"]
-            for c in required:
-                data[c].append(row[c])
-    if not data["t"]:
+        cols = f.readline().strip().split(",")
+        lines = f.readlines()
+    for col in _COLUMNS:
+        if col not in cols:
+            raise FormatError(f"{path}: missing column {col!r}")
+    rows = list(filterfalse(str.isspace, lines))
+    if not rows:
         raise FormatError(f"{path}: no samples")
-    return TriaxialSeries(rate=rate, x=data["ax"], y=data["ay"], z=data["az"], t0=t0)
+    try:
+        data = _loadtxt(rows)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(cols):
+        row, message = _row_error(rows, len(cols))
+        raise FormatError(f"{path}:{_line_of(lines, row)}: {message}")
+    used = data[:, [cols.index(c) for c in _COLUMNS]]
+    _check(path, lines, ~np.isfinite(used).all(axis=1), "values must be finite")
+    t, x, y, z = used.T
+    _check(path, lines, np.diff(t, prepend=-np.inf) <= 0, "non-monotonic timestamp")
+    off_grid = np.abs(t - (t0 + np.arange(len(t)) / rate)) > 0.5 / rate
+    _check(path, lines, off_grid, f"timestamp is not t0 + i/rate (t0={t0!r}, rate={rate!r})")
+    return TriaxialSeries(rate=rate, x=x, y=y, z=z, t0=t0)
 
 
 def _gt_to_json(gt: Optional[GroundTruth]) -> Optional[dict]:
@@ -122,6 +157,18 @@ def save_recording(rec: Recording, out_dir) -> Dict[str, str]:
     return files
 
 
+def _time_base(meta: dict, side: str, sidecar_path: Path) -> Tuple[float, float]:
+    """The sidecar's ``rate`` and ``t0`` for one wrist."""
+    try:
+        rate, t0 = meta[side]["rate"], meta[side]["t0"]
+        valid = rate > 0 and math.isfinite(rate) and math.isfinite(t0)
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        raise FormatError(f"{sidecar_path}: {side!r} needs a finite 'rate' > 0 and a finite 't0'")
+    return rate, t0
+
+
 def load_recording(sidecar_path) -> Recording:
     """Load a recording from its JSON sidecar (CSV paths are relative to it)."""
     sidecar_path = Path(sidecar_path)
@@ -142,8 +189,8 @@ def load_recording(sidecar_path) -> Recording:
         raise FormatError(f"{sidecar_path}: unknown task {meta['task']!r}") from None
     rid = meta["id"]
     base = sidecar_path.parent
-    left = _read_series_csv(base / f"{rid}_left.csv", meta["left"]["rate"], meta["left"]["t0"])
-    right = _read_series_csv(base / f"{rid}_right.csv", meta["right"]["rate"], meta["right"]["t0"])
+    left = _read_series_csv(base / f"{rid}_left.csv", *_time_base(meta, "left", sidecar_path))
+    right = _read_series_csv(base / f"{rid}_right.csv", *_time_base(meta, "right", sidecar_path))
     gt = _gt_from_json(meta.get("ground_truth"), str(sidecar_path))
     try:
         return Recording(

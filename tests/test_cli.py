@@ -146,7 +146,9 @@ class TestDetect:
             "detect", "--alg", "union", "--params", str(root / "tuned" / "tuned_params.json"),
             "--corpus", str(corpus), "--out", str(out),
         ]) == 1
-        assert "values must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "values must be finite" in err
+        assert "slow_pace_000_left.csv:51:" in err
         assert not (out / "steps_union.csv").exists()
         assert not (out / "counts_union.csv").exists()
 
@@ -220,6 +222,49 @@ class TestEvaluateAndReport:
         assert code == 1
         err = capsys.readouterr().err
         assert "counts_union.csv:2: recording 'no_arm_swing_000' is not in the corpus" in err
+
+    @pytest.mark.parametrize("side, key, value", [("left", "rate", None), ("right", "t0", None),
+                                                  ("left", "rate", 0)])
+    def test_invalid_sidecar_time_base_fails_cleanly(self, workspace, tmp_path, capsys,
+                                                     side, key, value):
+        root, _ = workspace
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        sidecar = corpus / "fast_pace_001.json"
+        meta = json.loads(sidecar.read_text())
+        if value is None:
+            del meta[side][key]
+        else:
+            meta[side][key] = value
+        sidecar.write_text(json.dumps(meta))
+        code = cli_main([
+            "evaluate", "--corpus", str(corpus),
+            "--detections", str(root / "det"), "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"fast_pace_001.json: '{side}' needs" in err
+        assert "Traceback" not in err
+
+    def test_undefined_pearson_r_is_null(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        cfg = tmp_path / "one.json"
+        write_config({"version": 1, "corpus": {"seed": 7, "tasks": {"no_arm_swing": 1}}}, cfg)
+        corpus, det, out = tmp_path / "corpus", tmp_path / "det", tmp_path / "eval"
+        assert cli_main(["simulate", "--spec", str(cfg), "--out", str(corpus)]) == 0
+        assert cli_main([
+            "detect", "--alg", "union", "--params", str(root / "tuned" / "tuned_params.json"),
+            "--corpus", str(corpus), "--out", str(det),
+        ]) == 0
+        assert cli_main([
+            "evaluate", "--corpus", str(corpus), "--detections", str(det), "--out", str(out),
+        ]) == 0
+        summary = _strict_json(out / "summary.json")
+        assert summary["per_task"]["no_arm_swing/union"]["pearson_r"] is None
+        assert summary["per_algorithm"]["union"]["pearson_r"] is None
+        capsys.readouterr()
+        assert cli_main(["report", "--evaluation", str(out)]) == 0
+        assert "r n/a" in capsys.readouterr().out
 
     def test_report_without_evaluation_fails(self, tmp_path, capsys):
         code = cli_main(["report", "--evaluation", str(tmp_path)])

@@ -1,11 +1,14 @@
 """On-disk corpus format: CSV traces, JSON sidecars, manifests."""
 import dataclasses
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualwrist import CorpusSpec, WalkTask, simulate_corpus, simulate_recording
+from dualwrist import CorpusSpec, TriaxialSeries, WalkTask, simulate_corpus, simulate_recording
 from dualwrist.io_formats import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -118,6 +121,110 @@ class TestRecordingRoundTrip:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(FormatError, match="invalid ground truth"):
             load_recording(sidecar)
+
+    def test_reordered_header_loads_the_same_arrays(self, rec, tmp_path):
+        save_recording(rec, tmp_path)
+        for side in ("left", "right"):
+            csv = tmp_path / f"{rec.id}_{side}.csv"
+            lines = csv.read_text().splitlines()
+            # t,ax,ay,az -> ax,t,az,ay
+            swapped = [",".join(f[i] for i in (1, 0, 3, 2)) for f in (ln.split(",") for ln in lines)]
+            assert swapped[0] == "ax,t,az,ay"
+            csv.write_text("\n".join(swapped) + "\n")
+        assert load_recording(tmp_path / f"{rec.id}.json") == rec
+
+    def test_extra_numeric_column_is_not_read(self, rec, tmp_path):
+        save_recording(rec, tmp_path)
+        csv = tmp_path / f"{rec.id}_left.csv"
+        lines = csv.read_text().splitlines()
+        lines = [lines[0] + ",temp"] + [ln + ",nan" for ln in lines[1:]]
+        csv.write_text("\n".join(lines) + "\n")
+        assert load_recording(tmp_path / f"{rec.id}.json") == rec
+
+    def test_blank_lines_skipped_and_later_errors_keep_their_line(self, rec, tmp_path):
+        save_recording(rec, tmp_path)
+        csv = tmp_path / f"{rec.id}_left.csv"
+        lines = csv.read_text().splitlines()
+        lines[4:4] = ["", "   ", "\t"]  # file lines 5-7
+        csv.write_text("\n".join(lines) + "\n\n  \n")
+        assert load_recording(tmp_path / f"{rec.id}.json") == rec
+        # float() accepts "1_0"; the reader does not.
+        fields = lines[20].split(",")
+        fields[2] = "1_0"
+        lines[20] = ",".join(fields)
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"_left\.csv:21: could not convert string to float: '1_0'"):
+            load_recording(tmp_path / f"{rec.id}.json")
+
+    @pytest.mark.parametrize("column, token", [(1, "nan"), (3, "-inf"), (0, "inf")])
+    def test_non_finite_value_reports_line(self, rec, tmp_path, column, token):
+        save_recording(rec, tmp_path)
+        csv = tmp_path / f"{rec.id}_right.csv"
+        lines = csv.read_text().splitlines()
+        fields = lines[-3].split(",")
+        fields[column] = token
+        lines[-3] = ",".join(fields)
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=rf"_right\.csv:{len(lines) - 2}: values must be finite"):
+            load_recording(tmp_path / f"{rec.id}.json")
+
+    def test_rows_missing_from_both_wrists_rejected(self, rec, tmp_path):
+        # 6 s at 128 Hz: 768 samples per wrist. Dropping the same 130 rows
+        # from both keeps the wrists consistent with each other, but the
+        # timestamps after the gap no longer sit on t0 + i/rate.
+        assert len(rec.left) == len(rec.right) == 768
+        save_recording(rec, tmp_path)
+        for side in ("left", "right"):
+            csv = tmp_path / f"{rec.id}_{side}.csv"
+            lines = csv.read_text().splitlines()
+            del lines[100:230]
+            csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"_left\.csv:101: timestamp is not t0 \+ i/rate"):
+            load_recording(tmp_path / f"{rec.id}.json")
+
+    @pytest.mark.parametrize("side, key, value", [
+        ("left", "rate", None), ("right", "t0", None), ("left", "rate", 0.0),
+        ("right", "rate", -128.0), ("left", "t0", "0.0"),
+    ])
+    def test_invalid_time_base_rejected(self, rec, tmp_path, side, key, value):
+        save_recording(rec, tmp_path)
+        sidecar = tmp_path / f"{rec.id}.json"
+        meta = json.loads(sidecar.read_text())
+        if value is None:
+            del meta[side][key]
+        else:
+            meta[side][key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=rf"{rec.id}\.json: '{side}' needs"):
+            load_recording(sidecar)
+
+
+# Finite doubles, with the cases where decimal text and binary differ most.
+doubles = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 0.1 + 0.2, 1 / 3]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.tuples(doubles, doubles, doubles, doubles, doubles, doubles),
+                    min_size=1, max_size=20),
+    rate=st.floats(min_value=1.0, max_value=1000.0),
+    t0=st.floats(min_value=-1e3, max_value=1e3),
+)
+def test_round_trip_is_bit_exact(rec, values, rate, t0):
+    cols = np.array(values).T
+    left = TriaxialSeries(rate=rate, x=cols[0], y=cols[1], z=cols[2], t0=t0)
+    right = TriaxialSeries(rate=rate, x=cols[3], y=cols[4], z=cols[5], t0=t0)
+    original = dataclasses.replace(rec, left=left, right=right)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_recording(original, tmp)
+        loaded = load_recording(f"{tmp}/{rec.id}.json")
+    for a, b in ((original.left, loaded.left), (original.right, loaded.right)):
+        assert (a.rate, a.t0) == (b.rate, b.t0)
+        for axis in ("x", "y", "z"):
+            assert np.array_equal(getattr(a, axis).view(np.int64), getattr(b, axis).view(np.int64))
+
 
 
 @pytest.fixture(scope="module")
