@@ -1,16 +1,17 @@
 """Detector stages on signals and peaks: smoothed wrist magnitudes, the
-low-level fused signal, and the intersect and union fusion of two wrists' steps.
+low-level fused signal, and the intersect and union fusion of two wrists'
+steps, over a :class:`~dualwrist.peaks.Pool` of many recordings at once.
 
 :class:`dualwrist.pipeline.CorpusEngine` composes them into the six detectors.
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .core import AlgorithmId, DetectorParams, PeakSet, Recording, ScalarSeries, Side
-from .peaks import greedy_nms, priority_rank
+from .peaks import Pool, priority_rank
 from .preprocess import magnitude, moving_average
 
 
@@ -44,10 +45,7 @@ def _joint_key(group: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def mutual_nearest(
-    t_left: np.ndarray,
-    t_right: np.ndarray,
-    g_left: Optional[np.ndarray] = None,
-    g_right: Optional[np.ndarray] = None,
+    t_left: np.ndarray, t_right: np.ndarray, g_left: np.ndarray, g_right: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Pair every left peak with its mutually nearest right peak.
 
@@ -56,14 +54,12 @@ def mutual_nearest(
     left peak to that right peak. Returns, per left peak, that right peak's
     index and the pair distance, ``inf`` where there is no pair.
 
-    Optional group labels (recording indices) keep peaks of different groups
-    apart; each side must be ordered by (group, time).
+    Group labels (recording indices) keep peaks of different groups apart;
+    each side must be ordered by (group, time).
     """
     n_l, n_r = len(t_left), len(t_right)
     if n_l == 0 or n_r == 0:
         return np.zeros(n_l, dtype=np.intp), np.full(n_l, np.inf)
-    g_left = np.zeros(n_l) if g_left is None else g_left
-    g_right = np.zeros(n_r) if g_right is None else g_right
     q = np.searchsorted(_joint_key(g_right, t_right), _joint_key(g_left, t_left))
     prev = np.maximum(q - 1, 0)
     nxt = np.minimum(q, n_r - 1)
@@ -82,6 +78,21 @@ def mutual_nearest(
     return j, np.where(d < other, d, np.inf)
 
 
+def intersect(left: Pool, right: Pool, pairs: Tuple[np.ndarray, np.ndarray], max_dist: float) -> Pool:
+    """The higher-amplitude member (ties: right) of every mutually nearest pair
+    within ``max_dist``; ``pairs`` is :func:`mutual_nearest` of the two pools."""
+    j, d = pairs
+    paired = d <= max_dist
+    j = j[paired]
+    right_wins = right.amps[j] >= left.amps[paired]
+    # Mutually nearest pairs never cross, so the emitted times stay increasing.
+    return Pool(
+        group=left.group[paired],
+        times=np.where(right_wins, right.times[j], left.times[paired]),
+        amps=np.where(right_wins, right.amps[j], left.amps[paired]),
+    )
+
+
 def intersect_fuse(t_left: PeakSet, t_right: PeakSet, max_dist: float) -> PeakSet:
     """Keep mutually-nearest left/right peak pairs within ``max_dist``.
 
@@ -92,15 +103,21 @@ def intersect_fuse(t_left: PeakSet, t_right: PeakSet, max_dist: float) -> PeakSe
     """
     if max_dist < 0:
         raise ValueError("max_dist must be >= 0")
-    j, d = mutual_nearest(t_left.times, t_right.times)
-    paired = d <= max_dist
-    j = j[paired]
-    right_wins = t_right.amplitudes[j] >= t_left.amplitudes[paired]
-    # Mutually nearest pairs never cross, so the emitted times stay increasing.
-    return PeakSet(
-        times=np.where(right_wins, t_right.times[j], t_left.times[paired]),
-        amplitudes=np.where(right_wins, t_right.amplitudes[j], t_left.amplitudes[paired]),
-    )
+    left, right = Pool.of([t_left]), Pool.of([t_right])
+    pairs = mutual_nearest(left.times, right.times, left.group, right.group)
+    return intersect(left, right, pairs, max_dist).peaks(0)
+
+
+def union_merge(left: Pool, right: Pool) -> Tuple[Pool, np.ndarray]:
+    """Both wrists' steps by recording then time (left first at equal times),
+    with the union priority: higher amplitude, then the right wrist, then earlier."""
+    group = np.concatenate([left.group, right.group])
+    times = np.concatenate([left.times, right.times])
+    amps = np.concatenate([left.amps, right.amps])
+    src = np.concatenate([np.zeros(len(left.times)), np.ones(len(right.times))])
+    order = np.lexsort((times, group))
+    merged = Pool(group[order], times[order], amps[order])
+    return merged, priority_rank(merged.times, -src[order], -merged.amps)
 
 
 def union_fuse(t_left: PeakSet, t_right: PeakSet, min_dist: float) -> PeakSet:
@@ -110,10 +127,5 @@ def union_fuse(t_left: PeakSet, t_right: PeakSet, min_dist: float) -> PeakSet:
     """
     if min_dist < 0:
         raise ValueError("min_dist must be >= 0")
-    times = np.concatenate([t_left.times, t_right.times])
-    amps = np.concatenate([t_left.amplitudes, t_right.amplitudes])
-    src = np.concatenate([np.zeros(len(t_left)), np.ones(len(t_right))])
-    by_time = np.argsort(times, kind="stable")
-    times, amps, src = times[by_time], amps[by_time], src[by_time]
-    keep = greedy_nms(times, priority_rank(times, -src, -amps), min_dist)
-    return PeakSet(times=times[keep], amplitudes=amps[keep])
+    merged, rank = union_merge(Pool.of([t_left]), Pool.of([t_right]))
+    return merged.thin(rank, min_dist).peaks(0)

@@ -125,6 +125,17 @@ def _gt_from_json(d: Optional[dict], where: str) -> Optional[GroundTruth]:
         raise FormatError(f"{where}: invalid ground truth: {exc}") from None
 
 
+def _read_json(path: Path) -> dict:
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: not a JSON object")
+    return payload
+
+
 def dump_json(path: Path, payload: dict) -> None:
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -172,11 +183,7 @@ def _time_base(meta: dict, side: str, sidecar_path: Path) -> Tuple[float, float]
 def load_recording(sidecar_path) -> Recording:
     """Load a recording from its JSON sidecar (CSV paths are relative to it)."""
     sidecar_path = Path(sidecar_path)
-    try:
-        with open(sidecar_path) as f:
-            meta = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{sidecar_path}: invalid JSON: {exc}") from None
+    meta = _read_json(sidecar_path)
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"{sidecar_path}: unsupported format version {version!r}")
@@ -191,6 +198,11 @@ def load_recording(sidecar_path) -> Recording:
     base = sidecar_path.parent
     left = _read_series_csv(base / f"{rid}_left.csv", *_time_base(meta, "left", sidecar_path))
     right = _read_series_csv(base / f"{rid}_right.csv", *_time_base(meta, "right", sidecar_path))
+    duration = meta["duration"]
+    for side, series in (("left", left), ("right", right)):
+        if not (isinstance(duration, (int, float)) and abs(series.span - duration) < 1 / series.rate):
+            raise FormatError(f"{sidecar_path}: {side!r} holds {len(series)} samples at rate "
+                              f"{series.rate!r}, a sample period or more off 'duration' {duration!r}")
     gt = _gt_from_json(meta.get("ground_truth"), str(sidecar_path))
     try:
         return Recording(
@@ -199,7 +211,7 @@ def load_recording(sidecar_path) -> Recording:
             task=task,
             left=left,
             right=right,
-            duration=meta["duration"],
+            duration=duration,
             ground_truth=gt,
             self_count=meta.get("self_count"),
         )
@@ -233,13 +245,18 @@ def load_manifest(corpus_dir) -> dict:
     path = Path(corpus_dir) / MANIFEST_NAME
     if not path.exists():
         raise FormatError(f"{path}: manifest not found (incomplete session?)")
-    with open(path) as f:
-        manifest = json.load(f)
+    manifest = _read_json(path)
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format version {version!r}")
-    for rid, entry in manifest.get("recordings", {}).items():
-        for role, fname in entry["files"].items():
+    recordings = manifest.get("recordings", {})
+    if not isinstance(recordings, dict):
+        raise FormatError(f"{path}: 'recordings' must be an object")
+    for rid, entry in recordings.items():
+        files = entry.get("files") if isinstance(entry, dict) else None
+        if not isinstance(files, dict) or "sidecar" not in files:
+            raise FormatError(f"{path}: recording {rid!r} needs a 'files' object with a 'sidecar'")
+        for role, fname in files.items():
             if not (Path(corpus_dir) / fname).exists():
                 raise FormatError(f"{path}: missing {role} file {fname!r} for {rid}")
     return manifest

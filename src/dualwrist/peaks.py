@@ -1,7 +1,9 @@
-"""First-order-difference peak detection with amplitude and gap gates."""
+"""First-order-difference peak detection with amplitude and gap gates, on
+one recording or on a :class:`Pool` of many recordings at once."""
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +29,37 @@ def candidate_peaks(series: ScalarSeries) -> PeakSet:
     return PeakSet(times=series.t0 + idx / series.rate, amplitudes=v[idx])
 
 
+@dataclass(frozen=True)
+class Pool:
+    """Peaks of many recordings, ordered by recording (``group``) then time."""
+
+    group: np.ndarray  # recording index of each peak
+    times: np.ndarray
+    amps: np.ndarray
+
+    @staticmethod
+    def of(peak_sets: Sequence[PeakSet]) -> "Pool":
+        return Pool(
+            group=np.repeat(np.arange(len(peak_sets)), [len(p) for p in peak_sets]),
+            times=np.concatenate([p.times for p in peak_sets]),
+            amps=np.concatenate([p.amplitudes for p in peak_sets]),
+        )
+
+    def select(self, mask: np.ndarray) -> "Pool":
+        return Pool(self.group[mask], self.times[mask], self.amps[mask])
+
+    def gate(self, min_amp: float) -> "Pool":
+        return self.select(self.amps >= min_amp)
+
+    def thin(self, rank: np.ndarray, radius: float) -> "Pool":
+        """Greedy non-maximum suppression within each recording."""
+        return self.select(greedy_nms(self.times, rank, radius, self.group))
+
+    def peaks(self, i: int) -> PeakSet:
+        lo, hi = np.searchsorted(self.group, [i, i + 1])
+        return PeakSet(times=self.times[lo:hi], amplitudes=self.amps[lo:hi])
+
+
 def priority_rank(*keys: np.ndarray) -> np.ndarray:
     """Rank of every element under ``np.lexsort(keys)`` (last key primary); 0 is best."""
     order = np.lexsort(keys)
@@ -35,9 +68,7 @@ def priority_rank(*keys: np.ndarray) -> np.ndarray:
     return rank
 
 
-def greedy_nms(
-    times: np.ndarray, rank: np.ndarray, radius: float, group: Optional[np.ndarray] = None
-) -> np.ndarray:
+def greedy_nms(times: np.ndarray, rank: np.ndarray, radius: float, group: np.ndarray) -> np.ndarray:
     """Keep mask of greedy non-maximum suppression.
 
     The sequential rule visits elements best ``rank`` first and keeps one when
@@ -55,16 +86,13 @@ def greedy_nms(
     keep = np.zeros(len(times), dtype=np.bool_)
     live = np.arange(len(times))
     while live.size:
-        t, r = times[live], rank[live]
-        g = None if group is None else group[live]
+        t, r, g = times[live], rank[live], group[live]
         # near[k-1][i]: element i and element i + k of ``live`` are neighbours.
         # Differences grow with k, so the first offset without a pair ends the scan.
         near = []
         best = r.copy()
         for k in range(1, live.size):
-            pair = t[k:] - t[:-k] <= radius
-            if g is not None:
-                pair &= g[k:] == g[:-k]
+            pair = (t[k:] - t[:-k] <= radius) & (g[k:] == g[:-k])
             if not pair.any():
                 break
             near.append(pair)
@@ -80,6 +108,11 @@ def greedy_nms(
     return keep
 
 
+def suppression_rank(pool: Pool) -> np.ndarray:
+    """Gap suppression priority: higher amplitude first, then earlier."""
+    return priority_rank(pool.times, -pool.amps)
+
+
 def suppress_peaks(peaks: PeakSet, min_amp: float, min_gap: float) -> PeakSet:
     """Amplitude gate followed by greedy min-gap thinning.
 
@@ -92,11 +125,8 @@ def suppress_peaks(peaks: PeakSet, min_amp: float, min_gap: float) -> PeakSet:
     ``suppress_peaks(p, a, g)`` equals ``suppress_peaks(p, -inf, g)`` restricted
     to amplitudes ``>= a``.
     """
-    sel = peaks.amplitudes >= min_amp
-    t = peaks.times[sel]
-    a = peaks.amplitudes[sel]
-    keep = greedy_nms(t, priority_rank(t, -a), min_gap)
-    return PeakSet(times=t[keep], amplitudes=a[keep])
+    pool = Pool.of([peaks]).gate(min_amp)
+    return pool.thin(suppression_rank(pool), min_gap).peaks(0)
 
 
 def detect_peaks(series: ScalarSeries, min_amp: float, min_gap: float) -> PeakSet:

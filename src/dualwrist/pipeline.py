@@ -4,32 +4,26 @@ Each detector is four stages: a signal family (both wrists' smoothed
 magnitudes, or the low-level fused signal), min-max normalized candidate
 peaks, gap suppression, and, for high-level fusion, intersect or union of the
 two wrists' steps. Normalization contexts and candidates are computed once per
-signal family over the whole corpus, and tuning counts whole parameter grids
-at once.
+signal family over the whole corpus, and suppression and fusion run over the
+peaks of all recordings at once. ``steps`` and ``count_tensor`` read the same
+memoized stage results.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import AlgorithmId, DetectorParams, PeakSet, Recording, ScalarSeries, Side
-from .fusion import fused_signal, intersect_fuse, mutual_nearest, smoothed_magnitude, union_fuse
-from .peaks import candidate_peaks, greedy_nms, priority_rank, suppress_peaks
+from .fusion import fused_signal, intersect, mutual_nearest, smoothed_magnitude, union_merge
+from .peaks import Pool, candidate_peaks, suppression_rank
 from .preprocess import NormalizationContext, fit_normalization, min_max_normalize
 
-# Streams of its signal family that each algorithm detects on: the left (0)
-# and right (1) wrist of a single-side family, or the fused signal (0).
-_STREAMS = {
-    AlgorithmId.NO_FUSION_LEFT: (0,),
-    AlgorithmId.NO_FUSION_RIGHT: (1,),
-    AlgorithmId.LOW_LEVEL_SUM: (0,),
-    AlgorithmId.LOW_LEVEL_DIFF: (0,),
-    AlgorithmId.HIGH_LEVEL_INTERSECT: (0, 1),
-    AlgorithmId.HIGH_LEVEL_UNION: (0, 1),
-}
+# Stream of its signal family that a single-stream algorithm detects on: the
+# left (0) or right (1) wrist of a single-side family, or the fused signal (0).
+_STREAM = {AlgorithmId.NO_FUSION_LEFT: 0, AlgorithmId.NO_FUSION_RIGHT: 1,
+           AlgorithmId.LOW_LEVEL_SUM: 0, AlgorithmId.LOW_LEVEL_DIFF: 0}
 
 
 def _family_key(alg: AlgorithmId, params: DetectorParams) -> Tuple:
@@ -39,49 +33,53 @@ def _family_key(alg: AlgorithmId, params: DetectorParams) -> Tuple:
     return (None, params.smooth_single, None)
 
 
-def _fuse_dist(alg: AlgorithmId, params: DetectorParams) -> float:
-    if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
-        if params.fuse_max_dist is None:
-            raise ValueError("intersection fusion requires fuse_max_dist")
-        return params.fuse_max_dist
-    if params.fuse_min_dist is None:
-        raise ValueError("union fusion requires fuse_min_dist")
-    return params.fuse_min_dist
-
-
-@dataclass(frozen=True)
-class _Pool:
-    """Peaks of every recording of one stream, ordered by recording then time."""
-
-    group: np.ndarray  # recording index of each peak
-    times: np.ndarray
-    amps: np.ndarray
-
-    @staticmethod
-    def of(peak_sets: Sequence[PeakSet]) -> "_Pool":
-        return _Pool(
-            group=np.repeat(np.arange(len(peak_sets)), [len(p) for p in peak_sets]),
-            times=np.concatenate([p.times for p in peak_sets]),
-            amps=np.concatenate([p.amplitudes for p in peak_sets]),
-        )
-
-    def select(self, mask: np.ndarray) -> "_Pool":
-        return _Pool(self.group[mask], self.times[mask], self.amps[mask])
-
-    def peaks(self, i: int) -> PeakSet:
-        lo, hi = np.searchsorted(self.group, [i, i + 1])
-        return PeakSet(times=self.times[lo:hi], amplitudes=self.amps[lo:hi])
-
-
 @dataclass(frozen=True)
 class _Family:
-    """One signal family over the corpus: its normalization context and the
-    normalized candidate peaks of each stream."""
+    """One signal family over the corpus: its normalization context, the
+    normalized candidate peaks of each stream, and memoized stage results."""
 
     key: Tuple
     ctx: Optional[NormalizationContext]  # None when the whole family failed
-    streams: List[_Pool]
+    streams: List[Pool]
     errors: Dict[int, Exception]  # recordings whose candidates failed
+    memo: Dict[Tuple, object] = field(default_factory=dict)
+
+    def cached(self, key: Tuple, compute: Callable[[], object]):
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def _suppressed(self, s: int, floor: float, gap: float) -> Pool:
+        """Stream ``s``'s candidates gated at ``floor``, gap-suppressed."""
+        gated = self.cached(("gate", floor, s), lambda: self.streams[s].gate(floor))
+        rank = self.cached(("rank", floor, s), lambda: suppression_rank(gated))
+        return self.cached(("suppress", floor, s, gap), lambda: gated.thin(rank, gap))
+
+    def detect(self, alg: AlgorithmId, params: DetectorParams, floor: float) -> Pool:
+        """The steps ``alg`` detects at ``params`` in every recording.
+
+        ``floor <= params.min_peak_amp`` gates the candidates before gap
+        suppression. The gated peaks are a prefix of the suppression and union
+        priority orders, so the steps do not depend on ``floor``, and grid
+        points that share it share every stage before their own gate.
+        """
+        amp, gap = params.min_peak_amp, params.min_peak_gap
+        if alg in _STREAM:
+            return self._suppressed(_STREAM[alg], floor, gap).gate(amp)
+        left, right = (self._suppressed(s, floor, gap) for s in (0, 1))
+        if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
+            if params.fuse_max_dist is None:
+                raise ValueError("intersection fusion requires fuse_max_dist")
+            left, right = left.gate(amp), right.gate(amp)
+            # Only the pairing is kept: every fuse_max_dist of a grid shares it.
+            pairs = self.cached(("pairs", floor, gap, amp),
+                                lambda: mutual_nearest(left.times, right.times, left.group, right.group))
+            return intersect(left, right, pairs, params.fuse_max_dist)
+        dist = params.fuse_min_dist
+        if dist is None:
+            raise ValueError("union fusion requires fuse_min_dist")
+        merged, rank = self.cached(("merge", floor, gap), lambda: union_merge(left, right))
+        return self.cached(("union", floor, gap, dist), lambda: merged.thin(rank, dist)).gate(amp)
 
 
 def _build_family(recs: Sequence[Recording], key: Tuple, params: DetectorParams) -> _Family:
@@ -96,7 +94,7 @@ def _build_family(recs: Sequence[Recording], key: Tuple, params: DetectorParams)
     for stream in zip(*signals):
         cands = [_candidates_or_error(s, ctx) for s in stream]
         errors.update((i, c) for i, c in enumerate(cands) if isinstance(c, Exception))
-        streams.append(_Pool.of([PeakSet.empty() if i in errors else c for i, c in enumerate(cands)]))
+        streams.append(Pool.of([PeakSet.empty() if i in errors else c for i, c in enumerate(cands)]))
     return _Family(key, ctx, streams, errors)
 
 
@@ -131,6 +129,7 @@ class CorpusEngine:
     def _load(self, alg: AlgorithmId, params: DetectorParams) -> _Family:
         key = _family_key(alg, params)
         if self._family is None or self._family.key != key:
+            self._family = None  # free its candidates and stage results before the build
             recs = list(self.recordings.values())
             try:
                 self._family = _build_family(recs, key, params)
@@ -148,21 +147,14 @@ class CorpusEngine:
 
     def steps(self, alg: AlgorithmId, rid: str, params: DetectorParams) -> PeakSet:
         """The steps ``alg`` detects in recording ``rid``: the gated and
-        gap-suppressed candidates of each of its streams, fused when it has two."""
+        gap-suppressed candidates of each of its streams, fused when it has two.
+        The first call for (``alg``, ``params``) detects in every recording."""
         i = self._index[rid]
         family = self._load(alg, params)
         if i in family.errors:
             raise family.errors[i]
-        sides = [
-            suppress_peaks(family.streams[s].peaks(i), params.min_peak_amp, params.min_peak_gap)
-            for s in _STREAMS[alg]
-        ]
-        if len(sides) == 1:
-            return sides[0]
-        dist = _fuse_dist(alg, params)
-        if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
-            return intersect_fuse(sides[0], sides[1], dist)
-        return union_fuse(sides[0], sides[1], dist)
+        pool = family.cached(("steps", alg, params), lambda: family.detect(alg, params, params.min_peak_amp))
+        return pool.peaks(i)
 
     # -- grid counts --------------------------------------------------------
 
@@ -170,11 +162,9 @@ class CorpusEngine:
         """``counts[p, r] == len(steps(alg, r, points[p]))`` for every grid point
         and every recording, in corpus order.
 
-        Each suppression or union pass runs over the whole corpus at once,
-        with neighbors confined to their own recording. The amplitude gate
-        keeps a prefix of the suppression and union priority orders, so one
-        pass per (signal family, gap, union distance) serves every amplitude
-        threshold: gating its survivors gives the gated result.
+        The grid points of one signal family detect with one amplitude floor,
+        their lowest threshold, so they share every stage that their own
+        amplitude gate does not change.
         """
         n = len(self.recordings)
         counts = np.empty((len(points), n), dtype=np.int64)
@@ -185,50 +175,7 @@ class CorpusEngine:
             family = self._load(alg, points[rows[0]])
             if family.errors:
                 raise next(iter(family.errors.values()))
-            # Gating at the lowest threshold first only drops peaks no row keeps.
-            a_min = min(points[p].min_peak_amp for p in rows)
-            streams = [family.streams[s] for s in _STREAMS[alg]]
-            streams = [s.select(s.amps >= a_min) for s in streams]
-            ranks = [priority_rank(s.times, -s.amps) for s in streams]
-
-            @lru_cache(maxsize=None)
-            def survivors(gap: float) -> List[_Pool]:
-                return [s.select(greedy_nms(s.times, r, gap, s.group)) for s, r in zip(streams, ranks)]
-
-            @lru_cache(maxsize=None)
-            def pooled(gap: float) -> Tuple[_Pool, np.ndarray]:
-                """Both wrists' survivors by recording then time, with union ranks."""
-                left, right = survivors(gap)
-                group = np.concatenate([left.group, right.group])
-                times = np.concatenate([left.times, right.times])
-                amps = np.concatenate([left.amps, right.amps])
-                src = np.concatenate([np.zeros(len(left.times)), np.ones(len(right.times))])
-                order = np.lexsort((times, group))
-                pool = _Pool(group[order], times[order], amps[order])
-                return pool, priority_rank(pool.times, -src[order], -pool.amps)
-
-            @lru_cache(maxsize=None)
-            def union(gap: float, dist: float) -> _Pool:
-                pool, rank = pooled(gap)
-                return pool.select(greedy_nms(pool.times, rank, dist, pool.group))
-
-            @lru_cache(maxsize=None)
-            def pair_dist(gap: float, amp: float) -> Tuple[np.ndarray, np.ndarray]:
-                left, right = (s.select(s.amps >= amp) for s in survivors(gap))
-                _, d = mutual_nearest(left.times, right.times, left.group, right.group)
-                return left.group, d
-
+            floor = min(points[p].min_peak_amp for p in rows)
             for p in rows:
-                params = points[p]
-                amp, gap = params.min_peak_amp, params.min_peak_gap
-                if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
-                    group, d = pair_dist(gap, amp)
-                    group = group[d <= _fuse_dist(alg, params)]
-                else:
-                    if alg is AlgorithmId.HIGH_LEVEL_UNION:
-                        pool = union(gap, _fuse_dist(alg, params))
-                    else:
-                        pool = survivors(gap)[0]
-                    group = pool.group[pool.amps >= amp]
-                counts[p] = np.bincount(group, minlength=n)
+                counts[p] = np.bincount(family.detect(alg, points[p], floor).group, minlength=n)
         return counts

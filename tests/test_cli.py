@@ -81,6 +81,26 @@ class TestTune:
         assert set(tuned) == {"union"}
         assert tuned["union"] == report["mean_params"]
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text[:-10],
+        lambda text: json.dumps({**json.loads(text), "recordings": ["slow_pace_000"]}),
+        lambda text: text.replace('"files"', '"filez"', 1),
+    ], ids=["invalid_json", "recordings_not_object", "entry_without_files"])
+    def test_malformed_manifest_fails_cleanly(self, workspace, tmp_path, capsys, corrupt):
+        root, cfg = workspace
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        manifest = corpus / "manifest.json"
+        manifest.write_text(corrupt(manifest.read_text()))
+        code = cli_main([
+            "tune", "--corpus", str(corpus), "--out", str(tmp_path / "t"),
+            "--alg", "left", "--config", str(cfg),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "manifest.json: " in err
+        assert "Traceback" not in err
+
 
 class TestDetect:
     def test_outputs(self, workspace):

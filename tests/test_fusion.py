@@ -14,7 +14,8 @@ from dualwrist import (
     intersect_fuse,
     union_fuse,
 )
-from dualwrist.fusion import fused_signal, smoothed_magnitude
+from dualwrist.fusion import fused_signal, mutual_nearest, smoothed_magnitude
+from dualwrist.peaks import greedy_nms, priority_rank
 
 from conftest import peaks, recording_from_signals
 
@@ -182,6 +183,56 @@ class TestUnionFuse:
         assert set(out.times) <= set(left.times) | set(right.times)
         if len(out) > 1:
             assert np.all(np.diff(out.times) > min_dist)
+
+
+def _laid_end_to_end(peak_sets):
+    """Group label, time and amplitude of every peak, by group then time."""
+    return (
+        np.repeat(np.arange(len(peak_sets)), [len(p) for p in peak_sets]),
+        np.concatenate([p.times for p in peak_sets]),
+        np.concatenate([p.amplitudes for p in peak_sets]),
+    )
+
+
+class TestGroupedFusion:
+    """Fusion over several recordings at once, each peak labelled by its
+    recording, equals the oracles applied recording by recording, also where
+    recordings share peak times."""
+
+    recordings = st.lists(
+        st.tuples(peak_set_strategy(quantum=1 / 64), peak_set_strategy(quantum=1 / 64)),
+        min_size=2, max_size=4,
+    )
+    dists = st.integers(0, 128).map(lambda q: q / 64)
+
+    @given(recordings, dists)
+    @settings(max_examples=150)
+    def test_union_matches_oracle_per_recording(self, recs, min_dist):
+        g_l, t_l, a_l = _laid_end_to_end([left for left, _ in recs])
+        g_r, t_r, a_r = _laid_end_to_end([right for _, right in recs])
+        src = np.concatenate([np.zeros(len(t_l)), np.ones(len(t_r))])
+        group, times, amps = np.concatenate([g_l, g_r]), np.concatenate([t_l, t_r]), np.concatenate([a_l, a_r])
+        order = np.lexsort((times, group))
+        group, times, amps, src = group[order], times[order], amps[order], src[order]
+        keep = greedy_nms(times, priority_rank(times, -src, -amps), min_dist, group)
+        for i, (left, right) in enumerate(recs):
+            mine = keep & (group == i)
+            assert PeakSet(times=times[mine], amplitudes=amps[mine]) == ref_union(left, right, min_dist)
+
+    @given(recordings, dists)
+    @settings(max_examples=150)
+    def test_intersect_matches_oracle_per_recording(self, recs, max_dist):
+        g_l, t_l, a_l = _laid_end_to_end([left for left, _ in recs])
+        g_r, t_r, a_r = _laid_end_to_end([right for _, right in recs])
+        j, d = mutual_nearest(t_l, t_r, g_l, g_r)
+        for i, (left, right) in enumerate(recs):
+            mine = (d <= max_dist) & (g_l == i)
+            right_wins = a_r[j[mine]] >= a_l[mine]
+            out = PeakSet(
+                times=np.where(right_wins, t_r[j[mine]], t_l[mine]),
+                amplitudes=np.where(right_wins, a_r[j[mine]], a_l[mine]),
+            )
+            assert out == ref_intersect(left, right, max_dist)
 
 
 def _impulse_train(n, idxs, height=1.0):

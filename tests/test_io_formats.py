@@ -182,6 +182,17 @@ class TestRecordingRoundTrip:
         with pytest.raises(FormatError, match=r"_left\.csv:101: timestamp is not t0 \+ i/rate"):
             load_recording(tmp_path / f"{rec.id}.json")
 
+    def test_rows_cut_from_the_end_of_both_wrists_rejected(self, rec, tmp_path):
+        # The timestamps that remain sit on t0 + i/rate; only the sidecar's
+        # duration tells that 130 samples are gone.
+        save_recording(rec, tmp_path)
+        for side in ("left", "right"):
+            csv = tmp_path / f"{rec.id}_{side}.csv"
+            lines = csv.read_text().splitlines()
+            csv.write_text("\n".join(lines[:639]) + "\n")  # header + 638 rows
+        with pytest.raises(FormatError, match=rf"{rec.id}\.json: 'left' holds 638 samples .* 'duration' 6\.0"):
+            load_recording(tmp_path / f"{rec.id}.json")
+
     @pytest.mark.parametrize("side, key, value", [
         ("left", "rate", None), ("right", "t0", None), ("left", "rate", 0.0),
         ("right", "rate", -128.0), ("left", "t0", "0.0"),
@@ -216,7 +227,7 @@ def test_round_trip_is_bit_exact(rec, values, rate, t0):
     cols = np.array(values).T
     left = TriaxialSeries(rate=rate, x=cols[0], y=cols[1], z=cols[2], t0=t0)
     right = TriaxialSeries(rate=rate, x=cols[3], y=cols[4], z=cols[5], t0=t0)
-    original = dataclasses.replace(rec, left=left, right=right)
+    original = dataclasses.replace(rec, left=left, right=right, duration=left.span)
     with tempfile.TemporaryDirectory() as tmp:
         save_recording(original, tmp)
         loaded = load_recording(f"{tmp}/{rec.id}.json")

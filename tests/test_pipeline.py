@@ -1,4 +1,5 @@
-"""The corpus engine must match the detectors composed from public stages."""
+"""The corpus engine must match the detectors composed from public stages,
+and its grid counts must match its steps."""
 import importlib.util
 from pathlib import Path
 
@@ -9,8 +10,10 @@ from dualwrist import (
     CorpusEngine,
     CorpusSpec,
     DetectorParams,
+    ParamGrid,
     Side,
     WalkTask,
+    cross_validate,
     detect_peaks,
     evaluate_corpus,
     fit_normalization,
@@ -93,6 +96,23 @@ class TestEngineMatchesPlainPipelines:
             engine.steps(AlgorithmId.NO_FUSION_LEFT, "nope", PARAM_POINTS[0])
 
 
+# At least two values per field. count_tensor gates the amplitude thresholds
+# above the lowest one after suppression; steps gates every one before it.
+SMALL_GRID = ParamGrid(
+    smooth_single=(0.02, 0.2), smooth_fused=(0.0, 0.08), min_peak_amp=(0.04, 0.2, 0.3),
+    min_peak_gap=(0.22, 0.4), fuse_max_dist=(0.18, 0.3), fuse_min_dist=(0.14, 0.3),
+)
+
+
+@pytest.mark.parametrize("alg", list(AlgorithmId))
+def test_count_tensor_counts_the_steps(small_corpus, alg):
+    engine = CorpusEngine(small_corpus)
+    points = SMALL_GRID.points(alg)
+    counts = engine.count_tensor(alg, points)
+    expected = [[len(engine.steps(alg, rec.id, params)) for rec in small_corpus] for params in points]
+    assert counts.tolist() == expected
+
+
 def test_benchmark_tracer_still_finds_its_targets():
     """The benchmark's per-layer tracer wraps package functions by name; a
     rename must fail here rather than in a traced benchmark run."""
@@ -105,9 +125,13 @@ def test_benchmark_tracer_still_finds_its_targets():
     )
     params = dict.fromkeys(AlgorithmId, PARAM_POINTS[0])
     tracer = tracing.Tracer()
+    grid = ParamGrid(smooth_single=(0.1,), min_peak_amp=(0.12,), min_peak_gap=(0.4,), fuse_max_dist=(0.3,))
     with tracer.installed():
         result = evaluate_corpus(dataset, list(AlgorithmId), params)
+        cross_validate(dataset, AlgorithmId.HIGH_LEVEL_INTERSECT, grid, k=2)
     assert all(row.error is None for row in result.rows)
     metrics = tracer.metrics()
     assert metrics["fusion.smoothed_magnitude.distinct"] > 0
     assert metrics["peaks.greedy_nms.calls"] > 0
+    assert metrics["pipeline.count_tensor.cells"] > 0
+    assert metrics["fusion.mutual_nearest.calls"] > 0
