@@ -15,9 +15,9 @@ from .config import (
     grid_from_config,
     load_config,
 )
-from .core import AlgorithmId, DetectorParams, WalkTask
+from .core import AlgorithmId, DetectorParams, WalkTask, required_param_fields
 from .evaluate import summarize_counts
-from .io_formats import FormatError, context_to_json, dump_json, load_corpus, save_corpus
+from .io_formats import FormatError, _read_json, context_to_json, dump_json, load_corpus, save_corpus
 from .pipeline import CorpusEngine
 from .simulate import simulate_corpus
 from .tuning import cross_validate
@@ -72,14 +72,31 @@ def cmd_tune(args) -> int:
 
 
 def _params_for(alg: AlgorithmId, params_path: str) -> DetectorParams:
-    with open(params_path) as f:
-        payload = json.load(f)
+    """``alg``'s parameters from a ``tuned_params.json``, a ``cv_<alg>.json``
+    report or a plain parameter object."""
+    path = Path(params_path)
+    where = f"{path}: parameters for {alg.value!r}"
+    try:
+        payload = _read_json(path)
+    except FormatError as exc:
+        raise FormatError(f"{exc} (reading the parameters for {alg.value!r})") from None
     if "mean_params" in payload:  # a single CVReport
-        payload = {payload["algorithm"]: payload["mean_params"]}
+        payload = {payload.get("algorithm"): payload["mean_params"]}
     if alg.value in payload:
         payload = payload[alg.value]
+    if not isinstance(payload, dict):
+        raise FormatError(f"{where} must be a JSON object, not {payload!r}")
     d = {k: v for k, v in payload.items() if v is not None}
-    return DetectorParams.from_dict(d)
+    missing = [name for name in required_param_fields(alg) if name not in d]
+    if missing:
+        raise FormatError(f"{where}: missing {', '.join(missing)}")
+    for name, v in d.items():
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise FormatError(f"{where}: {name} must be a number, not {v!r}")
+    try:
+        return DetectorParams.from_dict(d)
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 def cmd_detect(args) -> int:
@@ -118,26 +135,38 @@ def _read_detections(det_dir: Path, corpus_ids):
     counts_by_alg: Dict[AlgorithmId, Dict[str, int]] = {}
     times_by_alg: Dict[AlgorithmId, Dict[str, list]] = {}
 
-    def rows(path: Path, n_fields: int):
+    def rows(path: Path, n_fields: int, convert, what: str):
+        """``(line, recording id, value)`` per data row, ``convert`` applied
+        to the row's second field; a bad row raises naming the file and line."""
         with open(path) as f:
             f.readline()
             for lineno, line in enumerate(f, start=2):
                 fields = line.strip().rsplit(",", n_fields - 1)
+                if len(fields) != n_fields:
+                    raise FormatError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
                 if fields[0] not in corpus_ids:
                     raise FormatError(
                         f"{path}:{lineno}: recording {fields[0]!r} is not in the corpus"
                     )
-                yield fields
+                try:
+                    value = convert(fields[1])
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: {fields[1]!r} is not {what}") from None
+                yield lineno, fields[0], value
 
     for counts_path in sorted(det_dir.glob("counts_*.csv")):
         alg = AlgorithmId(counts_path.stem.replace("counts_", ""))
-        counts = {rid: int(count) for rid, count in rows(counts_path, 2)}
+        counts: Dict[str, int] = {}
+        for lineno, rid, count in rows(counts_path, 2, int, "an integer count"):
+            if rid in counts:
+                raise FormatError(f"{counts_path}:{lineno}: recording {rid!r} is listed twice")
+            counts[rid] = count
         counts_by_alg[alg] = counts
         steps_path = det_dir / f"steps_{alg.value}.csv"
         if steps_path.exists():
             times: Dict[str, list] = {rid: [] for rid in counts}
-            for rid, t, _a in rows(steps_path, 3):
-                times.setdefault(rid, []).append(float(t))
+            for _, rid, t in rows(steps_path, 3, float, "a number"):
+                times.setdefault(rid, []).append(t)
             times_by_alg[alg] = times
     if not counts_by_alg:
         raise FormatError(

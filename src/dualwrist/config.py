@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Optional
 
 from .core import WalkTask
+from .io_formats import FormatError, _read_json
 from .simulate import DEFAULT_TASK_COUNTS, CorpusSpec
 from .tuning import ParamGrid
 
@@ -41,6 +42,8 @@ def default_config() -> dict:
 
 
 def _reject_unknown(d: dict, allowed: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise FormatError(f"{where} must be a JSON object, not {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ValueError(f"unknown config key(s) in {where}: {sorted(unknown)}")
@@ -59,33 +62,59 @@ def validate_config(cfg: dict) -> dict:
         _reject_unknown(tasks, known, "corpus.tasks")
     if "cv" in cfg:
         _reject_unknown(cfg["cv"], _CV_KEYS, "cv")
+        for key, v in cfg["cv"].items():
+            if not _is_int(v):
+                raise FormatError(f"cv.{key} must be an integer, not {v!r}")
     if "grid" in cfg:
         _reject_unknown(cfg["grid"], _GRID_KEYS, "grid")
     return cfg
 
 
 def load_config(path) -> dict:
-    with open(path) as f:
-        cfg = json.load(f)
-    return validate_config(cfg)
+    """Read and validate a config file; a bad one raises a ``FormatError``
+    naming the file and the key."""
+    cfg = _read_json(Path(path))
+    try:
+        validate_config(cfg)
+        corpus_spec_from_config(cfg)
+        grid_from_config(cfg)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return cfg
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def corpus_spec_from_config(cfg: dict, seed_override: Optional[int] = None) -> CorpusSpec:
     corpus = cfg.get("corpus", {})
     tasks = corpus.get("tasks")
+    for name, n in (tasks or {}).items():
+        if not (_is_int(n) and n >= 0):
+            raise FormatError(f"corpus.tasks.{name} must be a non-negative integer, not {n!r}")
     counts = (
-        {WalkTask(name): int(n) for name, n in tasks.items()}
+        {WalkTask(name): n for name, n in tasks.items()}
         if tasks is not None
         else dict(DEFAULT_TASK_COUNTS)
     )
     seed = seed_override if seed_override is not None else corpus.get("seed", 42)
-    return CorpusSpec(task_counts=counts, seed=int(seed))
+    if not _is_int(seed):
+        raise FormatError(f"corpus.seed must be an integer, not {seed!r}")
+    return CorpusSpec(task_counts=counts, seed=seed)
 
 
 def grid_from_config(cfg: dict) -> ParamGrid:
     grid_cfg = cfg.get("grid")
     if not grid_cfg:
         return ParamGrid()
+    for name, values in grid_cfg.items():
+        if not (isinstance(values, list) and values and all(map(_is_number, values))):
+            raise FormatError(f"grid.{name} must be a non-empty list of numbers, not {values!r}")
     defaults = ParamGrid()
     kwargs = {
         name: tuple(grid_cfg.get(name, getattr(defaults, name))) for name in _GRID_KEYS

@@ -6,11 +6,11 @@ steps, over a :class:`~dualwrist.peaks.Pool` of many recordings at once.
 """
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import AlgorithmId, DetectorParams, PeakSet, Recording, ScalarSeries, Side
+from .core import AlgorithmId, PeakSet, Recording, ScalarSeries, Side
 from .peaks import Pool, priority_rank
 from .preprocess import magnitude, moving_average
 
@@ -19,13 +19,13 @@ def smoothed_magnitude(rec: Recording, side: Side, window: float) -> ScalarSerie
     return moving_average(magnitude(rec.side(side)), window)
 
 
-def fused_signal(rec: Recording, alg: AlgorithmId, params: DetectorParams) -> ScalarSeries:
+def fused_signal(n_l: ScalarSeries, n_r: ScalarSeries, alg: AlgorithmId,
+                 smooth_fused: Optional[float]) -> ScalarSeries:
     """Pointwise sum (``LOW_LEVEL_SUM``) or absolute difference
-    (``LOW_LEVEL_DIFF``) of the smoothed magnitudes, re-smoothed."""
-    if params.smooth_fused is None:
+    (``LOW_LEVEL_DIFF``) of the left and right smoothed magnitudes ``n_l``
+    and ``n_r``, smoothed again over ``smooth_fused`` seconds."""
+    if smooth_fused is None:
         raise ValueError("low-level fusion requires smooth_fused")
-    n_l = smoothed_magnitude(rec, Side.LEFT, params.smooth_single)
-    n_r = smoothed_magnitude(rec, Side.RIGHT, params.smooth_single)
     if len(n_l) != len(n_r):
         raise ValueError("left and right signals must be aligned sample-for-sample")
     if alg is AlgorithmId.LOW_LEVEL_SUM:
@@ -34,7 +34,7 @@ def fused_signal(rec: Recording, alg: AlgorithmId, params: DetectorParams) -> Sc
         combined = np.abs(n_r.values - n_l.values)
     else:
         raise ValueError(f"{alg.value} is not a low-level fusion")
-    return moving_average(n_l.with_values(combined), params.smooth_fused)
+    return moving_average(n_l.with_values(combined), smooth_fused)
 
 
 def _joint_key(group: np.ndarray, times: np.ndarray) -> np.ndarray:

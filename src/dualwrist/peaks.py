@@ -33,14 +33,14 @@ def candidate_peaks(series: ScalarSeries) -> PeakSet:
 class Pool:
     """Peaks of many recordings, ordered by recording (``group``) then time."""
 
-    group: np.ndarray  # recording index of each peak
+    group: np.ndarray  # recording index of each peak (int32, to keep pools small)
     times: np.ndarray
     amps: np.ndarray
 
     @staticmethod
     def of(peak_sets: Sequence[PeakSet]) -> "Pool":
         return Pool(
-            group=np.repeat(np.arange(len(peak_sets)), [len(p) for p in peak_sets]),
+            group=np.repeat(np.arange(len(peak_sets), dtype=np.int32), [len(p) for p in peak_sets]),
             times=np.concatenate([p.times for p in peak_sets]),
             amps=np.concatenate([p.amplitudes for p in peak_sets]),
         )

@@ -6,12 +6,20 @@ peaks, gap suppression, and, for high-level fusion, intersect or union of the
 two wrists' steps. Normalization contexts and candidates are computed once per
 signal family over the whole corpus, and suppression and fusion run over the
 peaks of all recordings at once. ``steps`` and ``count_tensor`` read the same
-memoized stage results.
+stage results.
+
+An engine runs each expensive stage once. Within one call, both wrists are
+smoothed once per window for every family built on it. Across calls, the
+engine keeps each wrist's gap-suppressed peaks per (window, wrist, gap), so
+``left``, ``right``, ``intersect``, ``union`` and their evaluation share one
+build of each single-side family.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+import copy
+import math
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,10 +28,13 @@ from .fusion import fused_signal, intersect, mutual_nearest, smoothed_magnitude,
 from .peaks import Pool, candidate_peaks, suppression_rank
 from .preprocess import NormalizationContext, fit_normalization, min_max_normalize
 
-# Stream of its signal family that a single-stream algorithm detects on: the
-# left (0) or right (1) wrist of a single-side family, or the fused signal (0).
-_STREAM = {AlgorithmId.NO_FUSION_LEFT: 0, AlgorithmId.NO_FUSION_RIGHT: 1,
-           AlgorithmId.LOW_LEVEL_SUM: 0, AlgorithmId.LOW_LEVEL_DIFF: 0}
+# Streams of its signal family that an algorithm detects on: the left (0)
+# and right (1) wrist of a single-side family, or the fused signal (0).
+_STREAMS = {AlgorithmId.NO_FUSION_LEFT: (0,), AlgorithmId.NO_FUSION_RIGHT: (1,),
+            AlgorithmId.LOW_LEVEL_SUM: (0,), AlgorithmId.LOW_LEVEL_DIFF: (0,),
+            AlgorithmId.HIGH_LEVEL_INTERSECT: (0, 1), AlgorithmId.HIGH_LEVEL_UNION: (0, 1)}
+
+Errors = Dict[int, Exception]  # recording index -> why it has no steps
 
 
 def _family_key(alg: AlgorithmId, params: DetectorParams) -> Tuple:
@@ -33,76 +44,45 @@ def _family_key(alg: AlgorithmId, params: DetectorParams) -> Tuple:
     return (None, params.smooth_single, None)
 
 
+def _fresh(exc: Exception) -> Exception:
+    """A copy of a kept error to raise: raising the kept one would tie the
+    raising frames, and through them the engine, to it."""
+    return copy.copy(exc)
+
+
+def _cached(memo: Dict, key: Tuple, compute: Callable[[], object]):
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 @dataclass(frozen=True)
 class _Family:
-    """One signal family over the corpus: its normalization context, the
-    normalized candidate peaks of each stream, and memoized stage results."""
+    """One signal family over the corpus: its normalization context and the
+    normalized candidate peaks of each stream."""
 
-    key: Tuple
     ctx: Optional[NormalizationContext]  # None when the whole family failed
     streams: List[Pool]
-    errors: Dict[int, Exception]  # recordings whose candidates failed
-    memo: Dict[Tuple, object] = field(default_factory=dict)
-
-    def cached(self, key: Tuple, compute: Callable[[], object]):
-        if key not in self.memo:
-            self.memo[key] = compute()
-        return self.memo[key]
-
-    def _suppressed(self, s: int, floor: float, gap: float) -> Pool:
-        """Stream ``s``'s candidates gated at ``floor``, gap-suppressed."""
-        gated = self.cached(("gate", floor, s), lambda: self.streams[s].gate(floor))
-        rank = self.cached(("rank", floor, s), lambda: suppression_rank(gated))
-        return self.cached(("suppress", floor, s, gap), lambda: gated.thin(rank, gap))
-
-    def detect(self, alg: AlgorithmId, params: DetectorParams, floor: float) -> Pool:
-        """The steps ``alg`` detects at ``params`` in every recording.
-
-        ``floor <= params.min_peak_amp`` gates the candidates before gap
-        suppression. The gated peaks are a prefix of the suppression and union
-        priority orders, so the steps do not depend on ``floor``, and grid
-        points that share it share every stage before their own gate.
-        """
-        amp, gap = params.min_peak_amp, params.min_peak_gap
-        if alg in _STREAM:
-            return self._suppressed(_STREAM[alg], floor, gap).gate(amp)
-        left, right = (self._suppressed(s, floor, gap) for s in (0, 1))
-        if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
-            if params.fuse_max_dist is None:
-                raise ValueError("intersection fusion requires fuse_max_dist")
-            left, right = left.gate(amp), right.gate(amp)
-            # Only the pairing is kept: every fuse_max_dist of a grid shares it.
-            pairs = self.cached(("pairs", floor, gap, amp),
-                                lambda: mutual_nearest(left.times, right.times, left.group, right.group))
-            return intersect(left, right, pairs, params.fuse_max_dist)
-        dist = params.fuse_min_dist
-        if dist is None:
-            raise ValueError("union fusion requires fuse_min_dist")
-        merged, rank = self.cached(("merge", floor, gap), lambda: union_merge(left, right))
-        return self.cached(("union", floor, gap, dist), lambda: merged.thin(rank, dist)).gate(amp)
+    errors: Errors  # recordings whose candidates failed
 
 
-def _build_family(recs: Sequence[Recording], key: Tuple, params: DetectorParams) -> _Family:
-    if key[0] is None:
-        sides = (Side.LEFT, Side.RIGHT)
-        signals = [[smoothed_magnitude(r, s, params.smooth_single) for s in sides] for r in recs]
-    else:
-        signals = [[fused_signal(r, key[0], params)] for r in recs]
+def _build_family(signals: Sequence[Sequence[ScalarSeries]]) -> _Family:
+    """The family of ``signals``: per recording, one series per stream."""
     ctx = fit_normalization(s for streams in signals for s in streams)
-    errors: Dict[int, Exception] = {}
+    errors: Errors = {}
     streams = []
     for stream in zip(*signals):
         cands = [_candidates_or_error(s, ctx) for s in stream]
         errors.update((i, c) for i, c in enumerate(cands) if isinstance(c, Exception))
         streams.append(Pool.of([PeakSet.empty() if i in errors else c for i, c in enumerate(cands)]))
-    return _Family(key, ctx, streams, errors)
+    return _Family(ctx, streams, errors)
 
 
 def _candidates_or_error(series: ScalarSeries, ctx: NormalizationContext):
     try:
         return candidate_peaks(min_max_normalize(series, ctx))
     except ValueError as exc:
-        return exc
+        return exc.with_traceback(None)  # kept by the engine: hold no frames
 
 
 class CorpusEngine:
@@ -111,8 +91,18 @@ class CorpusEngine:
     Normalization contexts are always fitted over the whole corpus (all
     samples), per signal family: per-sensor smoothed magnitudes for
     single-side and high-level pipelines, fused signals for low-level
-    pipelines. The engine holds the candidates of the most recent family only;
-    tuning and evaluation sweep one family at a time.
+    pipelines.
+
+    Between calls the engine keeps, for the life of the engine:
+
+    - each family's normalization context and failed recordings;
+    - each wrist's gap-suppressed peaks per (``smooth_single``, wrist,
+      ``min_peak_gap``) of the single-side families, about 0.7 MB each on
+      the default corpus (48 of them, 34 MB, after tuning on the default
+      grid), plus those of the most recent low-level family;
+    - the steps of the most recent ``steps`` call.
+
+    Candidates, smoothed signals and fusion stage results last one call.
     """
 
     def __init__(self, recordings: Iterable[Recording]):
@@ -120,28 +110,110 @@ class CorpusEngine:
         if not self.recordings:
             raise ValueError("corpus must not be empty")
         self._index = {rid: i for i, rid in enumerate(self.recordings)}
-        self._family: Optional[_Family] = None
+        self._contexts: Dict[Tuple, Tuple[Optional[NormalizationContext], Errors]] = {}
+        # (family key, stream, gap) -> (floor, the stream's candidates gated at
+        # floor and gap-suppressed). A stream kept at one floor serves every
+        # higher floor: the gated peaks are a prefix of the suppression order.
+        self._kept: Dict[Tuple, Tuple[float, Pool]] = {}
+        self._last: Tuple = (None, None)  # (alg, params) of the last steps call, its steps
 
     def columns(self, recordings: Sequence[Recording]) -> List[int]:
         """Positions of ``recordings`` in the engine's corpus order."""
         return [self._index[r.id] for r in recordings]
 
-    def _load(self, alg: AlgorithmId, params: DetectorParams) -> _Family:
-        key = _family_key(alg, params)
-        if self._family is None or self._family.key != key:
-            self._family = None  # free its candidates and stage results before the build
-            recs = list(self.recordings.values())
-            try:
-                self._family = _build_family(recs, key, params)
-            except ValueError as exc:  # no signals or context: every recording fails
-                self._family = _Family(key, None, [], dict.fromkeys(range(len(recs)), exc))
-        return self._family
+    # -- stages ---------------------------------------------------------------
+
+    def _smoothed(self, window: float) -> Iterator[Tuple[ScalarSeries, ScalarSeries]]:
+        """Both wrists' smoothed magnitudes, one recording at a time."""
+        for r in self.recordings.values():
+            yield smoothed_magnitude(r, Side.LEFT, window), smoothed_magnitude(r, Side.RIGHT, window)
+
+    def _build(self, key: Tuple, held: Optional[Dict] = None) -> _Family:
+        """Family ``key``'s candidates. ``held``, when given, carries both
+        wrists' smoothed magnitudes of one window between the low-level
+        builds of one call; otherwise each recording's are dropped once
+        fused."""
+        window = key[1]
+        try:
+            if key[0] is None:
+                family = _build_family(list(self._smoothed(window)))
+            else:
+                pairs = self._smoothed(window)
+                if held is not None:
+                    if window not in held:
+                        held.clear()
+                        held[window] = list(pairs)
+                    pairs = held[window]
+                family = _build_family([[fused_signal(n_l, n_r, key[0], key[2])] for n_l, n_r in pairs])
+        except ValueError as exc:  # no signals or context: every recording fails
+            exc = exc.with_traceback(None)
+            family = _Family(None, [], dict.fromkeys(range(len(self.recordings)), exc))
+        self._contexts[key] = (family.ctx, family.errors)
+        return family
+
+    def _prepare(self, key: Tuple, floor: float, gaps: Iterable[float],
+                 held: Optional[Dict] = None) -> Errors:
+        """Keep every stream of family ``key`` gated at ``floor`` or below and
+        gap-suppressed at each of ``gaps``; returns the family's failed
+        recordings. The family's candidates are built only when a stream is
+        missing. A single-side family has two streams whatever the
+        algorithm, so ``left`` also keeps what ``right``, ``intersect`` and
+        ``union`` read."""
+        known = self._contexts.get(key)
+        if known is not None and known[0] is None:
+            return known[1]
+        n_streams = 2 if key[0] is None else 1
+        missing = [(s, gap) for gap in gaps for s in range(n_streams)
+                   if self._kept.get((key, s, gap), (math.inf,))[0] > floor]
+        if missing:
+            if key[0] is not None:  # low-level families are many: keep one at a time
+                self._kept = {k: v for k, v in self._kept.items() if k[0][0] is None or k[0] == key}
+            family = self._build(key, held)
+            if family.ctx is not None:
+                for s in sorted({s for s, _ in missing}):
+                    gated = family.streams[s].gate(floor)
+                    rank = suppression_rank(gated)
+                    for gap in (g for t, g in missing if t == s):
+                        self._kept[(key, s, gap)] = (floor, gated.thin(rank, gap))
+        return self._contexts[key][1]
+
+    def _detect(self, alg: AlgorithmId, key: Tuple, params: DetectorParams, memo: Dict) -> Pool:
+        """The steps ``alg`` detects at ``params`` in every recording, from the
+        kept streams of ``key`` (see ``_prepare``).
+
+        A kept stream may be gated at a floor below ``params.min_peak_amp``.
+        The gated peaks are a prefix of the suppression and union priority
+        orders, so the steps do not depend on the floor, and grid points that
+        share a family share every stage before their own amplitude gate
+        through ``memo``.
+        """
+        amp, gap = params.min_peak_amp, params.min_peak_gap
+        streams = [self._kept[(key, s, gap)][1] for s in _STREAMS[alg]]
+        if len(streams) == 1:
+            return streams[0].gate(amp)
+        left, right = streams
+        if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
+            if params.fuse_max_dist is None:
+                raise ValueError("intersection fusion requires fuse_max_dist")
+            left, right = left.gate(amp), right.gate(amp)
+            # Only the pairing is kept: every fuse_max_dist of a grid shares it.
+            pairs = _cached(memo, ("pairs", gap, amp),
+                            lambda: mutual_nearest(left.times, right.times, left.group, right.group))
+            return intersect(left, right, pairs, params.fuse_max_dist)
+        dist = params.fuse_min_dist
+        if dist is None:
+            raise ValueError("union fusion requires fuse_min_dist")
+        merged, rank = _cached(memo, ("merge", gap), lambda: union_merge(left, right))
+        return _cached(memo, ("union", gap, dist), lambda: merged.thin(rank, dist)).gate(amp)
 
     def context_for(self, alg: AlgorithmId, params: DetectorParams) -> NormalizationContext:
-        family = self._load(alg, params)
-        if family.ctx is None:
-            raise family.errors[0]
-        return family.ctx
+        key = _family_key(alg, params)
+        if key not in self._contexts:
+            self._build(key)
+        ctx, errors = self._contexts[key]
+        if ctx is None:
+            raise _fresh(errors[0])
+        return ctx
 
     # -- detection ----------------------------------------------------------
 
@@ -150,11 +222,14 @@ class CorpusEngine:
         gap-suppressed candidates of each of its streams, fused when it has two.
         The first call for (``alg``, ``params``) detects in every recording."""
         i = self._index[rid]
-        family = self._load(alg, params)
-        if i in family.errors:
-            raise family.errors[i]
-        pool = family.cached(("steps", alg, params), lambda: family.detect(alg, params, params.min_peak_amp))
-        return pool.peaks(i)
+        key = _family_key(alg, params)
+        errors = self._prepare(key, params.min_peak_amp, (params.min_peak_gap,))
+        if i in errors:
+            raise _fresh(errors[i])
+        if self._last[0] != (alg, params):
+            self._last = (None, None)  # free the previous steps first
+            self._last = ((alg, params), self._detect(alg, key, params, {}))
+        return self._last[1].peaks(i)
 
     # -- grid counts --------------------------------------------------------
 
@@ -171,11 +246,14 @@ class CorpusEngine:
         rows_by_family: Dict[Tuple, List[int]] = {}
         for p, params in enumerate(points):
             rows_by_family.setdefault(_family_key(alg, params), []).append(p)
-        for rows in rows_by_family.values():
-            family = self._load(alg, points[rows[0]])
-            if family.errors:
-                raise next(iter(family.errors.values()))
+        held: Dict = {}  # sum and diff build a family per smooth_fused on one window
+        for key, rows in rows_by_family.items():
             floor = min(points[p].min_peak_amp for p in rows)
+            gaps = dict.fromkeys(points[p].min_peak_gap for p in rows)
+            errors = self._prepare(key, floor, gaps, held)
+            if errors:
+                raise _fresh(next(iter(errors.values())))
+            memo: Dict = {}
             for p in rows:
-                counts[p] = np.bincount(family.detect(alg, points[p], floor).group, minlength=n)
+                counts[p] = np.bincount(self._detect(alg, key, points[p], memo).group, minlength=n)
         return counts

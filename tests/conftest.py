@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from dualwrist import PeakSet, Recording, ScalarSeries, TriaxialSeries, WalkTask
+from dualwrist import PeakSet, Recording, ScalarSeries, Side, TriaxialSeries, WalkTask
+from dualwrist.fusion import fused_signal, smoothed_magnitude
 
 
 def scalar(values, rate=1.0, t0=0.0) -> ScalarSeries:
@@ -36,6 +37,12 @@ def recording_from_signals(left_z, right_z, rate=4.0, rec_id="rec0",
         duration=len(left_z) / rate,
         ground_truth=ground_truth,
     )
+
+
+def fused(rec, alg, params) -> ScalarSeries:
+    """``rec``'s low-level fused signal at ``params``."""
+    pair = (smoothed_magnitude(rec, s, params.smooth_single) for s in (Side.LEFT, Side.RIGHT))
+    return fused_signal(*pair, alg, params.smooth_fused)
 
 
 @pytest.fixture(scope="session")

@@ -298,3 +298,65 @@ class TestEvaluateAndReport:
         ])
         assert code == 1
         assert "manifest not found" in capsys.readouterr().err
+
+
+def _edit_row(path, lineno, edit):
+    lines = path.read_text().split("\n")
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("\n".join(lines))
+
+
+# (case, file written, its content or an edit of a workspace detections file,
+#  command, text the message must hold besides the file name)
+BAD_INPUTS = [
+    ("params_missing_fields", "p.json", '{"union": {"smooth_single": 0.1}}', "detect union", "'union'"),
+    ("params_list", "p.json", "[0.1, 0.4]", "detect union", "'union'"),
+    ("params_list_for_alg", "p.json", '{"union": [0.1, 0.4]}', "detect union", "'union'"),
+    ("params_truncated", "p.json", '{"smooth_single": 0.1,', "detect left", "'left'"),
+    ("params_string_value", "p.json", '{"smooth_single": "x", "min_peak_amp": 0.1, "min_peak_gap": 0.4}',
+     "detect left", "smooth_single"),
+    ("config_scalar_grid", "c.json", '{"version": 1, "grid": {"min_peak_amp": 0.1}}', "tune",
+     "grid.min_peak_amp"),
+    ("config_text_in_grid", "c.json", '{"version": 1, "grid": {"min_peak_gap": [0.2, "x"]}}', "tune",
+     "grid.min_peak_gap"),
+    ("config_empty_grid", "c.json", '{"version": 1, "grid": {"fuse_min_dist": []}}', "tune",
+     "grid.fuse_min_dist"),
+    ("config_grid_not_object", "c.json", '{"version": 1, "grid": 0.1}', "tune", "grid"),
+    ("config_task_count", "c.json", '{"version": 1, "corpus": {"tasks": {"slow_pace": "x"}}}', "simulate",
+     "corpus.tasks.slow_pace"),
+    ("config_folds", "c.json", '{"version": 1, "cv": {"folds": "x"}}', "tune", "cv.folds"),
+    ("counts_not_integer", "counts_union.csv", lambda row: row.rsplit(",", 1)[0] + ",x", "evaluate",
+     "counts_union.csv:2:"),
+    ("counts_listed_twice", "counts_union.csv", lambda row: "\n".join([row, row]), "evaluate",
+     "counts_union.csv:3:"),
+    ("steps_short_row", "steps_union.csv", lambda row: row.rsplit(",", 1)[0], "evaluate",
+     "steps_union.csv:2:"),
+    ("steps_time_not_number", "steps_union.csv", lambda row: row.split(",")[0] + ",x,1.0", "evaluate",
+     "steps_union.csv:2:"),
+]
+
+
+@pytest.mark.parametrize("case, name, content, command, expected", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_fails_cleanly(workspace, tmp_path, capsys, case, name, content, command, expected):
+    """Every malformed input exits 1 with a message naming the file, never a traceback."""
+    root, _ = workspace
+    det = tmp_path / "det"
+    shutil.copytree(root / "det", det)
+    bad = det / name
+    if callable(content):
+        _edit_row(bad, 2, content)
+    else:
+        bad = tmp_path / name
+        bad.write_text(content)
+    corpus, out = str(root / "corpus"), str(tmp_path / "out")
+    argv = {
+        "detect union": ["detect", "--alg", "union", "--params", str(bad), "--corpus", corpus, "--out", out],
+        "detect left": ["detect", "--alg", "left", "--params", str(bad), "--corpus", corpus, "--out", out],
+        "tune": ["tune", "--config", str(bad), "--corpus", corpus, "--out", out],
+        "simulate": ["simulate", "--spec", str(bad), "--out", out],
+        "evaluate": ["evaluate", "--corpus", corpus, "--detections", str(det), "--out", out],
+    }[command]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and expected in err
+    assert "Traceback" not in err

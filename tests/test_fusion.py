@@ -14,10 +14,10 @@ from dualwrist import (
     intersect_fuse,
     union_fuse,
 )
-from dualwrist.fusion import fused_signal, mutual_nearest, smoothed_magnitude
+from dualwrist.fusion import mutual_nearest, smoothed_magnitude
 from dualwrist.peaks import greedy_nms, priority_rank
 
-from conftest import peaks, recording_from_signals
+from conftest import fused, peaks, recording_from_signals
 
 
 def peak_set_strategy(max_peaks=10, quantum=None):
@@ -247,7 +247,7 @@ class TestLowLevelFusion:
         rec = recording_from_signals(z, z)
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.0,
                                 min_peak_gap=0.0, smooth_fused=0.0)
-        sig = fused_signal(rec, AlgorithmId.LOW_LEVEL_DIFF, params)
+        sig = fused(rec, AlgorithmId.LOW_LEVEL_DIFF, params)
         assert np.allclose(sig.values, 0.0)
 
     def test_diff_single_sample_example(self):
@@ -255,7 +255,7 @@ class TestLowLevelFusion:
                                      rate=1.0)
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.0,
                                 min_peak_gap=0.0, smooth_fused=0.0)
-        sig = fused_signal(rec, AlgorithmId.LOW_LEVEL_DIFF, params)
+        sig = fused(rec, AlgorithmId.LOW_LEVEL_DIFF, params)
         # |1-0|, |0-1| at samples 1 and 2 form a plateau peak at its start.
         assert np.allclose(sig.values, [0.0, 1.0, 1.0, 0.0])
         engine = CorpusEngine([rec])
@@ -269,18 +269,18 @@ class TestLowLevelFusion:
         rec = recording_from_signals(left, right, rate=1.0)
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.0,
                                 min_peak_gap=0.0, smooth_fused=0.0)
-        sig = fused_signal(rec, AlgorithmId.LOW_LEVEL_SUM, params)
+        sig = fused(rec, AlgorithmId.LOW_LEVEL_SUM, params)
         assert np.allclose(sig.values, left + right)
 
     def test_requires_smooth_fused(self):
         rec = recording_from_signals([0.0, 1.0, 0.0], [0.0, 1.0, 0.0])
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.0, min_peak_gap=0.0)
         with pytest.raises(ValueError, match="smooth_fused"):
-            fused_signal(rec, AlgorithmId.LOW_LEVEL_SUM, params)
+            fused(rec, AlgorithmId.LOW_LEVEL_SUM, params)
         params = DetectorParams(smooth_single=0.0, min_peak_amp=0.0, min_peak_gap=0.0,
                                 smooth_fused=0.0)
         with pytest.raises(ValueError, match="not a low-level fusion"):
-            fused_signal(rec, AlgorithmId.HIGH_LEVEL_UNION, params)
+            fused(rec, AlgorithmId.HIGH_LEVEL_UNION, params)
 
 
 def _single_side_context(rec):

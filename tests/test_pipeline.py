@@ -1,6 +1,10 @@
 """The corpus engine must match the detectors composed from public stages,
-and its grid counts must match its steps."""
+its grid counts must match its steps, and the stages it keeps across calls
+must give what a fresh engine gives."""
+import gc
 import importlib.util
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +26,10 @@ from dualwrist import (
     simulate_corpus,
     union_fuse,
 )
-from dualwrist.fusion import fused_signal, smoothed_magnitude
+from dualwrist import pipeline
+from dualwrist.fusion import smoothed_magnitude
+
+from conftest import fused, recording_from_signals
 
 LOW_LEVEL = (AlgorithmId.LOW_LEVEL_SUM, AlgorithmId.LOW_LEVEL_DIFF)
 SIDES = {AlgorithmId.NO_FUSION_LEFT: (Side.LEFT,), AlgorithmId.NO_FUSION_RIGHT: (Side.RIGHT,)}
@@ -39,7 +46,7 @@ PARAM_POINTS = [
 
 def plain_context(dataset, alg, params):
     if alg in LOW_LEVEL:
-        return fit_normalization(fused_signal(r, alg, params) for r in dataset)
+        return fit_normalization(fused(r, alg, params) for r in dataset)
     return fit_normalization(
         smoothed_magnitude(r, s, params.smooth_single)
         for r in dataset for s in (Side.LEFT, Side.RIGHT)
@@ -49,7 +56,7 @@ def plain_context(dataset, alg, params):
 def plain_steps(rec, alg, params, ctx):
     """Signal, normalize, detect on each stream, then fuse two streams."""
     if alg in LOW_LEVEL:
-        signals = [fused_signal(rec, alg, params)]
+        signals = [fused(rec, alg, params)]
     else:
         sides = SIDES.get(alg, (Side.LEFT, Side.RIGHT))
         signals = [smoothed_magnitude(rec, s, params.smooth_single) for s in sides]
@@ -111,6 +118,65 @@ def test_count_tensor_counts_the_steps(small_corpus, alg):
     counts = engine.count_tensor(alg, points)
     expected = [[len(engine.steps(alg, rec.id, params)) for rec in small_corpus] for params in points]
     assert counts.tolist() == expected
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_shared_engine_matches_fresh_engines(small_corpus, order):
+    """Detectors that reuse kept streams count and detect what a fresh engine
+    does, also at floors above and below the floor a stream was kept at."""
+    algs = list(AlgorithmId) if order == "forward" else list(reversed(AlgorithmId))
+    shared = CorpusEngine(small_corpus)
+    rids = [rec.id for rec in small_corpus]
+    for alg in algs:
+        points = SMALL_GRID.points(alg)
+        fresh = CorpusEngine(small_corpus).count_tensor(alg, points)
+        assert shared.count_tensor(alg, points).tolist() == fresh.tolist()
+        # The grid keeps streams gated at 0.04: steps above that floor read
+        # them, steps below it suppress again.
+        for amp in (0.25, 0.02):
+            params = replace(points[-1], min_peak_amp=amp)
+            fresh = CorpusEngine(small_corpus)
+            assert [shared.steps(alg, rid, params) for rid in rids] == [fresh.steps(alg, rid, params) for rid in rids]
+
+
+def test_fused_detectors_reuse_single_side_streams(small_corpus, monkeypatch):
+    calls = []
+    real = pipeline.candidate_peaks
+    monkeypatch.setattr(pipeline, "candidate_peaks", lambda series: calls.append(1) or real(series))
+    engine = CorpusEngine(small_corpus)
+    for alg in (AlgorithmId.NO_FUSION_LEFT, AlgorithmId.NO_FUSION_RIGHT):
+        cross_validate(small_corpus, alg, SMALL_GRID, k=2, engine=engine)
+    assert calls
+    calls.clear()
+    for alg in (AlgorithmId.HIGH_LEVEL_INTERSECT, AlgorithmId.HIGH_LEVEL_UNION):
+        cross_validate(small_corpus, alg, SMALL_GRID, k=2, engine=engine)
+    assert calls == []
+
+
+def test_used_engine_is_freed_without_the_cycle_collector(small_corpus):
+    """What an engine keeps must not refer back to it: a cycle would keep every
+    engine's kept streams alive until a collection. That holds after it has
+    raised a kept error too."""
+    engine = CorpusEngine(small_corpus)
+    for alg in AlgorithmId:
+        engine.count_tensor(alg, SMALL_GRID.points(alg)[:4])
+        engine.steps(alg, small_corpus[0].id, PARAM_POINTS[0])
+        engine.context_for(alg, PARAM_POINTS[1])
+    short = recording_from_signals([0.0, 1.0], [1.0, 0.0], rec_id="short")  # too short for peaks
+    failing = CorpusEngine([small_corpus[0], short])
+    for alg in AlgorithmId:
+        failing.steps(alg, small_corpus[0].id, PARAM_POINTS[0])
+        with pytest.raises(ValueError, match="3 samples"):
+            failing.steps(alg, "short", PARAM_POINTS[0])
+        with pytest.raises(ValueError, match="3 samples"):
+            failing.count_tensor(alg, PARAM_POINTS[:1])
+    refs = [weakref.ref(engine), weakref.ref(failing)]
+    gc.disable()
+    try:
+        del engine, failing
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_benchmark_tracer_still_finds_its_targets():
