@@ -5,7 +5,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -131,7 +131,12 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _read_detections(det_dir: Path, corpus_ids):
+def _read_detections(det_dir: Path, corpus_ids: Sequence[str]):
+    """Every ``counts_<alg>.csv`` in ``det_dir``, which must list each
+    recording of the corpus once, and its ``steps_<alg>.csv`` when present.
+    Every row must name a recording of the corpus, so a steps row also names
+    one of its counts file."""
+    corpus = set(corpus_ids)
     counts_by_alg: Dict[AlgorithmId, Dict[str, int]] = {}
     times_by_alg: Dict[AlgorithmId, Dict[str, list]] = {}
 
@@ -144,7 +149,7 @@ def _read_detections(det_dir: Path, corpus_ids):
                 fields = line.strip().rsplit(",", n_fields - 1)
                 if len(fields) != n_fields:
                     raise FormatError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
-                if fields[0] not in corpus_ids:
+                if fields[0] not in corpus:
                     raise FormatError(
                         f"{path}:{lineno}: recording {fields[0]!r} is not in the corpus"
                     )
@@ -161,12 +166,15 @@ def _read_detections(det_dir: Path, corpus_ids):
             if rid in counts:
                 raise FormatError(f"{counts_path}:{lineno}: recording {rid!r} is listed twice")
             counts[rid] = count
+        missing = next((rid for rid in corpus_ids if rid not in counts), None)
+        if missing is not None:
+            raise FormatError(f"{counts_path}: recording {missing!r} of the corpus is missing")
         counts_by_alg[alg] = counts
         steps_path = det_dir / f"steps_{alg.value}.csv"
         if steps_path.exists():
             times: Dict[str, list] = {rid: [] for rid in counts}
             for _, rid, t in rows(steps_path, 3, float, "a number"):
-                times.setdefault(rid, []).append(t)
+                times[rid].append(t)
             times_by_alg[alg] = times
     if not counts_by_alg:
         raise FormatError(
@@ -178,7 +186,7 @@ def _read_detections(det_dir: Path, corpus_ids):
 def cmd_evaluate(args) -> int:
     dataset = load_corpus(args.corpus)
     det_dir = Path(args.detections)
-    counts_by_alg, times_by_alg = _read_detections(det_dir, {rec.id for rec in dataset})
+    counts_by_alg, times_by_alg = _read_detections(det_dir, [rec.id for rec in dataset])
     phase_times = {
         alg: {rid: np.array(ts) for rid, ts in by_rid.items()}
         for alg, by_rid in times_by_alg.items()

@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import AlgorithmId, PeakSet, Recording, ScalarSeries, Side
-from .peaks import Pool, priority_rank
+from .peaks import Pool
 from .preprocess import magnitude, moving_average
 
 
@@ -19,13 +19,10 @@ def smoothed_magnitude(rec: Recording, side: Side, window: float) -> ScalarSerie
     return moving_average(magnitude(rec.side(side)), window)
 
 
-def fused_signal(n_l: ScalarSeries, n_r: ScalarSeries, alg: AlgorithmId,
-                 smooth_fused: Optional[float]) -> ScalarSeries:
+def combined_signal(n_l: ScalarSeries, n_r: ScalarSeries, alg: AlgorithmId) -> ScalarSeries:
     """Pointwise sum (``LOW_LEVEL_SUM``) or absolute difference
     (``LOW_LEVEL_DIFF``) of the left and right smoothed magnitudes ``n_l``
-    and ``n_r``, smoothed again over ``smooth_fused`` seconds."""
-    if smooth_fused is None:
-        raise ValueError("low-level fusion requires smooth_fused")
+    and ``n_r``: the low-level fused signal before its own smoothing."""
     if len(n_l) != len(n_r):
         raise ValueError("left and right signals must be aligned sample-for-sample")
     if alg is AlgorithmId.LOW_LEVEL_SUM:
@@ -34,13 +31,21 @@ def fused_signal(n_l: ScalarSeries, n_r: ScalarSeries, alg: AlgorithmId,
         combined = np.abs(n_r.values - n_l.values)
     else:
         raise ValueError(f"{alg.value} is not a low-level fusion")
-    return moving_average(n_l.with_values(combined), smooth_fused)
+    return n_l.with_values(combined)
 
 
-def _joint_key(group: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(group, time) as one sortable value: complex numbers sort lexicographically."""
-    key = np.empty(len(times), dtype=complex)
-    key.real, key.imag = group, times
+def fused_signal(combined: ScalarSeries, smooth_fused: Optional[float]) -> ScalarSeries:
+    """The low-level fused signal: a :func:`combined_signal` smoothed again
+    over ``smooth_fused`` seconds."""
+    if smooth_fused is None:
+        raise ValueError("low-level fusion requires smooth_fused")
+    return moving_average(combined, smooth_fused)
+
+
+def _joint_key(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
+    """(primary, secondary) as one sortable value: complex numbers sort lexicographically."""
+    key = np.empty(len(primary), dtype=complex)
+    key.real, key.imag = primary, secondary
     return key
 
 
@@ -110,14 +115,15 @@ def intersect_fuse(t_left: PeakSet, t_right: PeakSet, max_dist: float) -> PeakSe
 
 def union_merge(left: Pool, right: Pool) -> Tuple[Pool, np.ndarray]:
     """Both wrists' steps by recording then time (left first at equal times),
-    with the union priority: higher amplitude, then the right wrist, then earlier."""
+    with the union priority as a :func:`~dualwrist.peaks.greedy_nms` key:
+    higher amplitude, then the right wrist, then earlier."""
     group = np.concatenate([left.group, right.group])
     times = np.concatenate([left.times, right.times])
     amps = np.concatenate([left.amps, right.amps])
     src = np.concatenate([np.zeros(len(left.times)), np.ones(len(right.times))])
     order = np.lexsort((times, group))
     merged = Pool(group[order], times[order], amps[order])
-    return merged, priority_rank(merged.times, -src[order], -merged.amps)
+    return merged, _joint_key(-merged.amps, -src[order])
 
 
 def union_fuse(t_left: PeakSet, t_right: PeakSet, min_dist: float) -> PeakSet:
@@ -127,5 +133,5 @@ def union_fuse(t_left: PeakSet, t_right: PeakSet, min_dist: float) -> PeakSet:
     """
     if min_dist < 0:
         raise ValueError("min_dist must be >= 0")
-    merged, rank = union_merge(Pool.of([t_left]), Pool.of([t_right]))
-    return merged.thin(rank, min_dist).peaks(0)
+    merged, key = union_merge(Pool.of([t_left]), Pool.of([t_right]))
+    return merged.thin(key, min_dist).peaks(0)

@@ -51,9 +51,10 @@ class Pool:
     def gate(self, min_amp: float) -> "Pool":
         return self.select(self.amps >= min_amp)
 
-    def thin(self, rank: np.ndarray, radius: float) -> "Pool":
-        """Greedy non-maximum suppression within each recording."""
-        return self.select(greedy_nms(self.times, rank, radius, self.group))
+    def thin(self, key: np.ndarray, radius: float) -> "Pool":
+        """Greedy non-maximum suppression within each recording, smallest
+        ``key`` first (see :func:`greedy_nms`)."""
+        return self.select(greedy_nms(self.times, key, radius, self.group))
 
     def peaks(self, i: int) -> PeakSet:
         lo, hi = np.searchsorted(self.group, [i, i + 1])
@@ -61,56 +62,64 @@ class Pool:
 
 
 def priority_rank(*keys: np.ndarray) -> np.ndarray:
-    """Rank of every element under ``np.lexsort(keys)`` (last key primary); 0 is best."""
+    """Rank of every element under ``np.lexsort(keys)`` (last key primary); 0 is best.
+
+    A rank is a :func:`greedy_nms` key that no two elements share, which
+    makes it the reference for the order a cheaper key must give."""
     order = np.lexsort(keys)
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order))
     return rank
 
 
-def greedy_nms(times: np.ndarray, rank: np.ndarray, radius: float, group: np.ndarray) -> np.ndarray:
+def greedy_nms(times: np.ndarray, key: np.ndarray, radius: float, group: np.ndarray) -> np.ndarray:
     """Keep mask of greedy non-maximum suppression.
 
-    The sequential rule visits elements best ``rank`` first and keeps one when
-    no kept element lies within ``radius`` of it (inclusive, measured as the
-    later time minus the earlier). This computes the same set in parallel
-    rounds (Blelloch, Fineman & Shun, SPAA 2012): an undecided element whose
-    rank beats every undecided neighbour is kept, then the undecided elements
-    within ``radius`` of it are dropped, until none is undecided.
+    The sequential rule visits elements by ``key``, smallest first, an equal
+    key going to the earlier element, and keeps one when no kept element lies
+    within ``radius`` of it (inclusive, measured as the later time minus the
+    earlier). This computes the same set in parallel rounds (Blelloch,
+    Fineman & Shun, SPAA 2012): an undecided element that beats every
+    undecided neighbour is kept, then the undecided elements within
+    ``radius`` of it are dropped, until none is undecided.
 
-    ``rank`` holds distinct priorities, lowest first, as from
-    :func:`priority_rank`. ``times`` must be non-decreasing within each
-    ``group`` and each group contiguous; elements of different groups never
-    interact.
+    ``key`` is any array that ``<`` orders: ``-amplitude`` for gap
+    suppression, or a complex key, compared real part first, for the union
+    of two wrists. A distinct rank, as from :func:`priority_rank`, is a key
+    too. ``times`` must be non-decreasing within each ``group`` and each group
+    contiguous; elements of different groups never interact.
     """
     keep = np.zeros(len(times), dtype=np.bool_)
     live = np.arange(len(times))
+    t, q, g = times, key, group  # of the ``live`` elements
     while live.size:
-        t, r, g = times[live], rank[live], group[live]
         # near[k-1][i]: element i and element i + k of ``live`` are neighbours.
         # Differences grow with k, so the first offset without a pair ends the scan.
         near = []
-        best = r.copy()
+        lost = np.zeros(live.size, dtype=np.bool_)
         for k in range(1, live.size):
             pair = (t[k:] - t[:-k] <= radius) & (g[k:] == g[:-k])
             if not pair.any():
                 break
             near.append(pair)
-            np.minimum(best[:-k], r[k:], out=best[:-k], where=pair)
-            np.minimum(best[k:], r[:-k], out=best[k:], where=pair)
-        won = best == r
-        keep[live[won]] = True
+            later_wins = pair & (q[k:] < q[:-k])  # a tie goes to the earlier element
+            lost[:-k] |= later_wins
+            lost[k:] |= pair ^ later_wins
+        won = ~lost
+        keep[live] = won
         decided = won.copy()
         for k, pair in enumerate(near, start=1):
             decided[:-k] |= pair & won[k:]
             decided[k:] |= pair & won[:-k]
         live = live[~decided]
+        t, q, g = times[live], key[live], group[live]
     return keep
 
 
-def suppression_rank(pool: Pool) -> np.ndarray:
-    """Gap suppression priority: higher amplitude first, then earlier."""
-    return priority_rank(pool.times, -pool.amps)
+def suppression_key(pool: Pool) -> np.ndarray:
+    """Gap suppression priority for :func:`greedy_nms`: higher amplitude
+    first, then, through the kernel's tie rule, earlier."""
+    return -pool.amps
 
 
 def suppress_peaks(peaks: PeakSet, min_amp: float, min_gap: float) -> PeakSet:
@@ -126,7 +135,7 @@ def suppress_peaks(peaks: PeakSet, min_amp: float, min_gap: float) -> PeakSet:
     to amplitudes ``>= a``.
     """
     pool = Pool.of([peaks]).gate(min_amp)
-    return pool.thin(suppression_rank(pool), min_gap).peaks(0)
+    return pool.thin(suppression_key(pool), min_gap).peaks(0)
 
 
 def detect_peaks(series: ScalarSeries, min_amp: float, min_gap: float) -> PeakSet:

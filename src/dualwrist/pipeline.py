@@ -24,8 +24,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from .core import AlgorithmId, DetectorParams, PeakSet, Recording, ScalarSeries, Side
-from .fusion import fused_signal, intersect, mutual_nearest, smoothed_magnitude, union_merge
-from .peaks import Pool, candidate_peaks, suppression_rank
+from .fusion import combined_signal, fused_signal, intersect, mutual_nearest, smoothed_magnitude, union_merge
+from .peaks import Pool, candidate_peaks, suppression_key
 from .preprocess import NormalizationContext, fit_normalization, min_max_normalize
 
 # Streams of its signal family that an algorithm detects on: the left (0)
@@ -102,7 +102,11 @@ class CorpusEngine:
       grid), plus those of the most recent low-level family;
     - the steps of the most recent ``steps`` call.
 
-    Candidates, smoothed signals and fusion stage results last one call.
+    Within one ``count_tensor`` call on ``sum`` or ``diff``, ``held`` keeps
+    each recording's combined signal (``n_l + n_r`` or ``|n_r - n_l|``) of one
+    ``smooth_single`` window, about 15 MB on the default corpus, and every
+    ``smooth_fused`` family of that window smooths it. Candidates, smoothed
+    and combined signals and fusion stage results last one call.
     """
 
     def __init__(self, recordings: Iterable[Recording]):
@@ -129,22 +133,22 @@ class CorpusEngine:
             yield smoothed_magnitude(r, Side.LEFT, window), smoothed_magnitude(r, Side.RIGHT, window)
 
     def _build(self, key: Tuple, held: Optional[Dict] = None) -> _Family:
-        """Family ``key``'s candidates. ``held``, when given, carries both
-        wrists' smoothed magnitudes of one window between the low-level
-        builds of one call; otherwise each recording's are dropped once
-        fused."""
-        window = key[1]
+        """Family ``key``'s candidates. ``held``, when given, carries each
+        recording's combined signal (:func:`combined_signal`) of one window
+        between the low-level builds of one call, which share one algorithm;
+        otherwise each recording's is dropped once fused."""
+        alg, window, smooth_fused = key
         try:
-            if key[0] is None:
+            if alg is None:
                 family = _build_family(list(self._smoothed(window)))
             else:
-                pairs = self._smoothed(window)
+                combined = (combined_signal(n_l, n_r, alg) for n_l, n_r in self._smoothed(window))
                 if held is not None:
                     if window not in held:
                         held.clear()
-                        held[window] = list(pairs)
-                    pairs = held[window]
-                family = _build_family([[fused_signal(n_l, n_r, key[0], key[2])] for n_l, n_r in pairs])
+                        held[window] = list(combined)
+                    combined = held[window]
+                family = _build_family([[fused_signal(c, smooth_fused)] for c in combined])
         except ValueError as exc:  # no signals or context: every recording fails
             exc = exc.with_traceback(None)
             family = _Family(None, [], dict.fromkeys(range(len(self.recordings)), exc))
@@ -172,9 +176,9 @@ class CorpusEngine:
             if family.ctx is not None:
                 for s in sorted({s for s, _ in missing}):
                     gated = family.streams[s].gate(floor)
-                    rank = suppression_rank(gated)
+                    priority = suppression_key(gated)
                     for gap in (g for t, g in missing if t == s):
-                        self._kept[(key, s, gap)] = (floor, gated.thin(rank, gap))
+                        self._kept[(key, s, gap)] = (floor, gated.thin(priority, gap))
         return self._contexts[key][1]
 
     def _detect(self, alg: AlgorithmId, key: Tuple, params: DetectorParams, memo: Dict) -> Pool:
@@ -203,8 +207,8 @@ class CorpusEngine:
         dist = params.fuse_min_dist
         if dist is None:
             raise ValueError("union fusion requires fuse_min_dist")
-        merged, rank = _cached(memo, ("merge", gap), lambda: union_merge(left, right))
-        return _cached(memo, ("union", gap, dist), lambda: merged.thin(rank, dist)).gate(amp)
+        merged, priority = _cached(memo, ("merge", gap), lambda: union_merge(left, right))
+        return _cached(memo, ("union", gap, dist), lambda: merged.thin(priority, dist)).gate(amp)
 
     def context_for(self, alg: AlgorithmId, params: DetectorParams) -> NormalizationContext:
         key = _family_key(alg, params)
@@ -246,7 +250,7 @@ class CorpusEngine:
         rows_by_family: Dict[Tuple, List[int]] = {}
         for p, params in enumerate(points):
             rows_by_family.setdefault(_family_key(alg, params), []).append(p)
-        held: Dict = {}  # sum and diff build a family per smooth_fused on one window
+        held: Dict = {}  # sum and diff build a family per smooth_fused on one combined signal
         for key, rows in rows_by_family.items():
             floor = min(points[p].min_peak_amp for p in rows)
             gaps = dict.fromkeys(points[p].min_peak_gap for p in rows)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dualwrist import PeakSet, Recording, ScalarSeries, Side, TriaxialSeries, WalkTask
-from dualwrist.fusion import fused_signal, smoothed_magnitude
+from dualwrist.fusion import combined_signal, fused_signal, smoothed_magnitude
 
 
 def scalar(values, rate=1.0, t0=0.0) -> ScalarSeries:
@@ -42,7 +42,7 @@ def recording_from_signals(left_z, right_z, rate=4.0, rec_id="rec0",
 def fused(rec, alg, params) -> ScalarSeries:
     """``rec``'s low-level fused signal at ``params``."""
     pair = (smoothed_magnitude(rec, s, params.smooth_single) for s in (Side.LEFT, Side.RIGHT))
-    return fused_signal(*pair, alg, params.smooth_fused)
+    return fused_signal(combined_signal(*pair, alg), params.smooth_fused)
 
 
 @pytest.fixture(scope="session")

@@ -301,8 +301,11 @@ class TestEvaluateAndReport:
 
 
 def _edit_row(path, lineno, edit):
+    """Replace line ``lineno`` of ``path`` by ``edit`` of it, or delete it
+    when ``edit`` returns None."""
     lines = path.read_text().split("\n")
-    lines[lineno - 1] = edit(lines[lineno - 1])
+    new = edit(lines[lineno - 1])
+    lines[lineno - 1 : lineno] = [] if new is None else [new]
     path.write_text("\n".join(lines))
 
 
@@ -329,6 +332,10 @@ BAD_INPUTS = [
      "counts_union.csv:2:"),
     ("counts_listed_twice", "counts_union.csv", lambda row: "\n".join([row, row]), "evaluate",
      "counts_union.csv:3:"),
+    ("counts_missing_recording", "counts_union.csv", lambda row: None, "evaluate",
+     "recording 'comfortable_pace_000' of the corpus is missing"),
+    ("steps_recording_not_in_corpus", "steps_union.csv", lambda row: "other_000," + row.split(",", 1)[1],
+     "evaluate", "steps_union.csv:2: recording 'other_000' is not in the corpus"),
     ("steps_short_row", "steps_union.csv", lambda row: row.rsplit(",", 1)[0], "evaluate",
      "steps_union.csv:2:"),
     ("steps_time_not_number", "steps_union.csv", lambda row: row.split(",")[0] + ",x,1.0", "evaluate",

@@ -1,4 +1,5 @@
-"""Local-maximum candidates and amplitude/gap-gated peak detection."""
+"""Local-maximum candidates, amplitude/gap-gated peak detection, and the
+priority keys of the greedy suppression kernel."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dualwrist import PeakSet, candidate_peaks, detect_peaks
-from dualwrist.peaks import suppress_peaks
+from dualwrist.fusion import union_merge
+from dualwrist.peaks import Pool, greedy_nms, priority_rank, suppress_peaks, suppression_key
 
 from conftest import scalar
 
@@ -157,3 +159,63 @@ class TestSuppressPeaks:
 
     def test_empty_input(self):
         assert len(suppress_peaks(PeakSet.empty(), 0.1, 1.0)) == 0
+
+
+# Amplitudes from a short list give ties; times on a 1/64 grid give equal
+# times and gaps exactly on a radius that is a multiple of 1/64.
+TIE_AMPS = (0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def grouped_peaks(draw):
+    """Group, time, amplitude and wrist (0 left, 1 right) of peaks from up to
+    four recordings, ordered by group, time, then left before right."""
+    recs = draw(st.lists(
+        st.lists(st.tuples(st.integers(0, 256), st.integers(0, 1), st.sampled_from(TIE_AMPS)), max_size=12),
+        min_size=1, max_size=4,
+    ))
+    rows = sorted((g, q / 64, src, amp) for g, peaks in enumerate(recs) for q, src, amp in peaks)
+    group, times, src, amps = (np.array([r[i] for r in rows], dtype=dt)
+                               for i, dt in enumerate((np.int32, float, float, float)))
+    return group, times, amps, src
+
+
+radii = st.integers(0, 128).map(lambda q: q / 64)
+
+
+def sequential_greedy(times, priority, radius, group):
+    """The greedy rule as a plain loop: visit elements by ``priority`` (a
+    tuple each), ties to the earlier element, and keep one when no kept
+    element of its group lies within ``radius``."""
+    keep = np.zeros(len(times), dtype=bool)
+    for i in sorted(range(len(times)), key=lambda i: (priority[i], i)):
+        keep[i] = not any(keep[j] and group[j] == group[i] and abs(times[i] - times[j]) <= radius
+                          for j in range(len(times)))
+    return keep
+
+
+class TestPriorityKeys:
+    """``greedy_nms`` takes a key, smallest first, ties to the earlier element:
+    each caller's key gives what the distinct lexsort rank of that order gives,
+    and what the sequential greedy loop gives."""
+
+    @given(grouped_peaks(), radii)
+    @settings(max_examples=200)
+    def test_suppression_key(self, peaks, radius):
+        group, times, amps, _ = peaks
+        keep = greedy_nms(times, suppression_key(Pool(group, times, amps)), radius, group)
+        assert np.array_equal(keep, greedy_nms(times, priority_rank(times, -amps), radius, group))
+        assert np.array_equal(keep, sequential_greedy(times, [(-a,) for a in amps], radius, group))
+
+    @given(grouped_peaks(), radii)
+    @settings(max_examples=200)
+    def test_union_key(self, peaks, radius):
+        group, times, amps, src = peaks
+        left, right = (Pool(group[src == s], times[src == s], amps[src == s]) for s in (0, 1))
+        merged, key = union_merge(left, right)
+        # The merge keeps the drawn order, so ``src`` labels the merged peaks.
+        for got, want in zip((merged.group, merged.times, merged.amps), (group, times, amps)):
+            assert np.array_equal(got, want)
+        keep = greedy_nms(times, key, radius, group)
+        assert np.array_equal(keep, greedy_nms(times, priority_rank(times, -src, -amps), radius, group))
+        assert np.array_equal(keep, sequential_greedy(times, list(zip(-amps, -src)), radius, group))

@@ -4,6 +4,7 @@ must give what a fresh engine gives."""
 import gc
 import importlib.util
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -137,6 +138,30 @@ def test_shared_engine_matches_fresh_engines(small_corpus, order):
             params = replace(points[-1], min_peak_amp=amp)
             fresh = CorpusEngine(small_corpus)
             assert [shared.steps(alg, rid, params) for rid in rids] == [fresh.steps(alg, rid, params) for rid in rids]
+
+
+@pytest.mark.parametrize("alg", LOW_LEVEL)
+def test_low_level_grid_combines_each_window_once(small_corpus, alg, monkeypatch):
+    """A grid of low-level families smooths each wrist once per window,
+    fuses windows of 1, 3 and 11 samples from that one combined signal, and
+    counts what a fresh engine's steps give."""
+    grid = ParamGrid(smooth_single=(0.02, 0.2), smooth_fused=(0.0, 0.02, 0.08),
+                     min_peak_amp=(0.04, 0.2), min_peak_gap=(0.22, 0.4))
+    points = grid.points(alg)
+    calls = Counter()
+    real = pipeline.smoothed_magnitude
+
+    def counted(rec, side, window):
+        calls[(rec.id, window)] += 1
+        return real(rec, side, window)
+
+    monkeypatch.setattr(pipeline, "smoothed_magnitude", counted)
+    counts = CorpusEngine(small_corpus).count_tensor(alg, points)
+    assert calls == {(rec.id, w): 2 for rec in small_corpus for w in grid.smooth_single}
+    monkeypatch.undo()
+    for p, params in enumerate(points):
+        fresh = CorpusEngine(small_corpus)
+        assert counts[p].tolist() == [len(fresh.steps(alg, rec.id, params)) for rec in small_corpus]
 
 
 def test_fused_detectors_reuse_single_side_streams(small_corpus, monkeypatch):
