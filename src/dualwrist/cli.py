@@ -15,9 +15,11 @@ from .config import (
     grid_from_config,
     load_config,
 )
-from .core import AlgorithmId, DetectorParams, WalkTask, required_param_fields
+from .core import AlgorithmId, DetectorParams, Recording, WalkTask, required_param_fields
 from .evaluate import summarize_counts
-from .io_formats import FormatError, _read_json, context_to_json, dump_json, load_corpus, save_corpus
+from .io_formats import (
+    FormatError, _read_json, context_to_json, dump_json, load_corpus, load_manifest, save_corpus,
+)
 from .pipeline import CorpusEngine
 from .simulate import simulate_corpus
 from .tuning import cross_validate
@@ -51,10 +53,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _load_labelled_corpus(corpus_dir) -> List[Recording]:
+    """The corpus in ``corpus_dir``; each recording needs ground truth to be
+    scored against, and one without it fails naming its sidecar."""
+    dataset = load_corpus(corpus_dir)
+    unlabelled = next((i for i, rec in enumerate(dataset) if rec.ground_truth is None), None)
+    if unlabelled is not None:  # load_corpus keeps the manifest's order
+        entry = list(load_manifest(corpus_dir)["recordings"].values())[unlabelled]
+        raise FormatError(f"{Path(corpus_dir) / entry['files']['sidecar']}: recording "
+                          f"{dataset[unlabelled].id!r} has no ground truth")
+    return dataset
+
+
 def cmd_tune(args) -> int:
     cfg = _load_session_config(args.config)
     grid = grid_from_config(cfg)
-    dataset = load_corpus(args.corpus)
+    dataset = _load_labelled_corpus(args.corpus)
     engine = CorpusEngine(dataset)
     algorithms = _parse_algs(args.alg)
     folds = args.folds if args.folds is not None else cfg.get("cv", {}).get("folds", 5)
@@ -184,7 +198,7 @@ def _read_detections(det_dir: Path, corpus_ids: Sequence[str]):
 
 
 def cmd_evaluate(args) -> int:
-    dataset = load_corpus(args.corpus)
+    dataset = _load_labelled_corpus(args.corpus)
     det_dir = Path(args.detections)
     counts_by_alg, times_by_alg = _read_detections(det_dir, [rec.id for rec in dataset])
     phase_times = {

@@ -190,6 +190,13 @@ def _summarize(errors: Sequence[float], counts: Sequence[int], labels: Sequence[
     )
 
 
+def _ground_truth(rec: Recording) -> GroundTruth:
+    """The labels of ``rec``, which every recording evaluated must have."""
+    if rec.ground_truth is None:
+        raise ValueError(f"recording {rec.id!r} has no ground truth")
+    return rec.ground_truth
+
+
 def summarize_counts(counts_by_alg: Mapping[AlgorithmId, Mapping[str, int]], dataset: Sequence[Recording],
                      phase_times: Optional[Mapping[AlgorithmId, Mapping[str, np.ndarray]]] = None
                      ) -> EvaluationResult:
@@ -203,7 +210,7 @@ def summarize_counts(counts_by_alg: Mapping[AlgorithmId, Mapping[str, int]], dat
         errors, cs, ls, tasks = [], [], [], []
         for rid, count in counts.items():
             rec = by_id[rid]
-            label = rec.ground_truth.label_count
+            label = _ground_truth(rec).label_count
             err = percent_error(count, label)
             rows.append(RecordingResult(rid, rec.task, alg, count, label, err))
             errors.append(err)
@@ -224,7 +231,7 @@ def summarize_counts(counts_by_alg: Mapping[AlgorithmId, Mapping[str, int]], dat
         for alg, times_by_rid in phase_times.items():
             heel_parts, toe_parts = [], []
             for rid, times in times_by_rid.items():
-                gt = by_id[rid].ground_truth
+                gt = _ground_truth(by_id[rid])
                 offs = phase_offsets(PeakSet(times=times, amplitudes=np.zeros(len(times))), gt)
                 heel_parts.append(offs.dt_heel)
                 toe_parts.append(offs.dt_toe)
@@ -259,11 +266,8 @@ def evaluate_corpus(
             try:
                 steps = engine.steps(alg, rec.id, params)
             except Exception as exc:  # noqa: BLE001 - error rows by contract
-                error_rows.append(
-                    RecordingResult(
-                        rec.id, rec.task, alg, None, rec.ground_truth.label_count, None, str(exc)
-                    )
-                )
+                label = _ground_truth(rec).label_count
+                error_rows.append(RecordingResult(rec.id, rec.task, alg, None, label, None, str(exc)))
                 continue
             counts[rec.id] = len(steps)
             if alg in phase_algorithms:

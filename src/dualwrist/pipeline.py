@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,11 @@ _STREAMS = {AlgorithmId.NO_FUSION_LEFT: (0,), AlgorithmId.NO_FUSION_RIGHT: (1,),
             AlgorithmId.LOW_LEVEL_SUM: (0,), AlgorithmId.LOW_LEVEL_DIFF: (0,),
             AlgorithmId.HIGH_LEVEL_INTERSECT: (0, 1), AlgorithmId.HIGH_LEVEL_UNION: (0, 1)}
 
+# The parameter of each algorithm's last stage: the amplitude gate, except
+# for intersect, whose gate comes before the pairing that fuse_max_dist cuts.
+_LAST_STAGE = dict.fromkeys(AlgorithmId, "min_peak_amp")
+_LAST_STAGE[AlgorithmId.HIGH_LEVEL_INTERSECT] = "fuse_max_dist"
+
 Errors = Dict[int, Exception]  # recording index -> why it has no steps
 
 
@@ -44,16 +49,33 @@ def _family_key(alg: AlgorithmId, params: DetectorParams) -> Tuple:
     return (None, params.smooth_single, None)
 
 
+def _last_threshold(alg: AlgorithmId, params: DetectorParams) -> float:
+    """The threshold of ``alg``'s last stage at ``params``."""
+    value = getattr(params, _LAST_STAGE[alg])
+    if value is None:  # min_peak_amp is required, fuse_max_dist is not
+        raise ValueError("intersection fusion requires fuse_max_dist")
+    return value
+
+
+def _tally(group: np.ndarray, values: np.ndarray, thresholds: np.ndarray, n: int) -> np.ndarray:
+    """``counts[k, g]``: the elements of group ``g`` (of ``n``) whose value is
+    at least ``thresholds[k]``, for thresholds in any order, repeats allowed.
+
+    One histogram of how many distinct thresholds each value reaches, summed
+    from the highest level down, serves every threshold at once.
+    """
+    levels, level_of = np.unique(thresholds, return_inverse=True)
+    m = len(levels)
+    reached = np.searchsorted(levels, values, side="right")
+    hist = np.bincount(group * (m + 1) + reached, minlength=n * (m + 1)).reshape(n, m + 1)
+    at_least = hist[:, ::-1].cumsum(axis=1)[:, ::-1]  # at_least[g, l]: values reaching l levels or more
+    return at_least[:, level_of + 1].T
+
+
 def _fresh(exc: Exception) -> Exception:
     """A copy of a kept error to raise: raising the kept one would tie the
     raising frames, and through them the engine, to it."""
     return copy.copy(exc)
-
-
-def _cached(memo: Dict, key: Tuple, compute: Callable[[], object]):
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
 
 
 @dataclass(frozen=True)
@@ -181,34 +203,41 @@ class CorpusEngine:
                         self._kept[(key, s, gap)] = (floor, gated.thin(priority, gap))
         return self._contexts[key][1]
 
-    def _detect(self, alg: AlgorithmId, key: Tuple, params: DetectorParams, memo: Dict) -> Pool:
-        """The steps ``alg`` detects at ``params`` in every recording, from the
-        kept streams of ``key`` (see ``_prepare``).
+    def _pregate(self, alg: AlgorithmId, key: Tuple, params: DetectorParams, merges: Dict) -> Pool:
+        """The pool whose peaks at or above ``params.min_peak_amp`` are the
+        steps ``alg`` (any but ``intersect``) detects at ``params`` in every
+        recording, from the kept streams of ``key`` (see ``_prepare``).
+        ``merges`` carries each gap's union merge between calls.
 
         A kept stream may be gated at a floor below ``params.min_peak_amp``.
         The gated peaks are a prefix of the suppression and union priority
-        orders, so the steps do not depend on the floor, and grid points that
-        share a family share every stage before their own amplitude gate
-        through ``memo``.
+        orders, so the steps do not depend on the floor.
         """
-        amp, gap = params.min_peak_amp, params.min_peak_gap
+        gap = params.min_peak_gap
         streams = [self._kept[(key, s, gap)][1] for s in _STREAMS[alg]]
         if len(streams) == 1:
-            return streams[0].gate(amp)
-        left, right = streams
-        if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
-            if params.fuse_max_dist is None:
-                raise ValueError("intersection fusion requires fuse_max_dist")
-            left, right = left.gate(amp), right.gate(amp)
-            # Only the pairing is kept: every fuse_max_dist of a grid shares it.
-            pairs = _cached(memo, ("pairs", gap, amp),
-                            lambda: mutual_nearest(left.times, right.times, left.group, right.group))
-            return intersect(left, right, pairs, params.fuse_max_dist)
-        dist = params.fuse_min_dist
-        if dist is None:
+            return streams[0]
+        if params.fuse_min_dist is None:
             raise ValueError("union fusion requires fuse_min_dist")
-        merged, priority = _cached(memo, ("merge", gap), lambda: union_merge(left, right))
-        return _cached(memo, ("union", gap, dist), lambda: merged.thin(priority, dist)).gate(amp)
+        if gap not in merges:
+            merges[gap] = union_merge(*streams)
+        merged, priority = merges[gap]
+        return merged.thin(priority, params.fuse_min_dist)
+
+    def _paired(self, key: Tuple, params: DetectorParams) -> Tuple[Pool, Pool, Tuple[np.ndarray, np.ndarray]]:
+        """Both wrists' kept streams of ``key`` gated at ``params.min_peak_amp``
+        and their :func:`mutual_nearest` pairing: every ``intersect`` stage
+        but the ``fuse_max_dist`` cut."""
+        amp, gap = params.min_peak_amp, params.min_peak_gap
+        left, right = (self._kept[(key, s, gap)][1].gate(amp) for s in (0, 1))
+        return left, right, mutual_nearest(left.times, right.times, left.group, right.group)
+
+    def _detect(self, alg: AlgorithmId, key: Tuple, params: DetectorParams) -> Pool:
+        """The steps ``alg`` detects at ``params`` in every recording."""
+        if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
+            max_dist = _last_threshold(alg, params)
+            return intersect(*self._paired(key, params), max_dist)
+        return self._pregate(alg, key, params, {}).gate(params.min_peak_amp)
 
     def context_for(self, alg: AlgorithmId, params: DetectorParams) -> NormalizationContext:
         key = _family_key(alg, params)
@@ -232,7 +261,7 @@ class CorpusEngine:
             raise _fresh(errors[i])
         if self._last[0] != (alg, params):
             self._last = (None, None)  # free the previous steps first
-            self._last = ((alg, params), self._detect(alg, key, params, {}))
+            self._last = ((alg, params), self._detect(alg, key, params))
         return self._last[1].peaks(i)
 
     # -- grid counts --------------------------------------------------------
@@ -243,21 +272,36 @@ class CorpusEngine:
 
         The grid points of one signal family detect with one amplitude floor,
         their lowest threshold, so they share every stage that their own
-        amplitude gate does not change.
+        amplitude gate does not change. Points that differ only in the
+        threshold of their last stage (``min_peak_amp``, or ``fuse_max_dist``
+        for ``intersect``, which gates before it pairs) are counted together
+        from the pool that stage selects from, by :func:`_tally`; no pool of
+        steps is built.
         """
         n = len(self.recordings)
         counts = np.empty((len(points), n), dtype=np.int64)
-        rows_by_family: Dict[Tuple, List[int]] = {}
+        last = _LAST_STAGE[alg]
+        families: Dict[Tuple, Dict[Tuple, List[int]]] = {}  # family key -> shared stages -> rows
         for p, params in enumerate(points):
-            rows_by_family.setdefault(_family_key(alg, params), []).append(p)
+            shared = params.to_dict()
+            del shared[last]
+            families.setdefault(_family_key(alg, params), {}).setdefault(tuple(shared.values()), []).append(p)
         held: Dict = {}  # sum and diff build a family per smooth_fused on one combined signal
-        for key, rows in rows_by_family.items():
+        for key, tallies in families.items():
+            rows = [p for tally in tallies.values() for p in tally]
             floor = min(points[p].min_peak_amp for p in rows)
             gaps = dict.fromkeys(points[p].min_peak_gap for p in rows)
             errors = self._prepare(key, floor, gaps, held)
             if errors:
                 raise _fresh(next(iter(errors.values())))
-            memo: Dict = {}
-            for p in rows:
-                counts[p] = np.bincount(self._detect(alg, key, points[p], memo).group, minlength=n)
+            merges: Dict = {}
+            for tally in tallies.values():
+                thresholds = np.array([_last_threshold(alg, points[p]) for p in tally])
+                if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
+                    left, _, (_, dist) = self._paired(key, points[tally[0]])
+                    counts[tally] = _tally(left.group, -dist, -thresholds, n)  # dist <= fuse_max_dist
+                else:
+                    pool = self._pregate(alg, key, points[tally[0]], merges)
+                    counts[tally] = _tally(pool.group, pool.amps, thresholds, n)
         return counts
+

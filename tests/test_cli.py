@@ -309,8 +309,13 @@ def _edit_row(path, lineno, edit):
     path.write_text("\n".join(lines))
 
 
-# (case, file written, its content or an edit of a workspace detections file,
-#  command, text the message must hold besides the file name)
+def _without_ground_truth(sidecar_text):
+    return json.dumps({**json.loads(sidecar_text), "ground_truth": None})
+
+
+# (case, file written, its content or an edit of a workspace file, command,
+#  text the message must hold besides the file name). An edit changes row 2
+#  of a detections file, or the whole text of a corpus/ file.
 BAD_INPUTS = [
     ("params_missing_fields", "p.json", '{"union": {"smooth_single": 0.1}}', "detect union", "'union'"),
     ("params_list", "p.json", "[0.1, 0.4]", "detect union", "'union'"),
@@ -340,6 +345,10 @@ BAD_INPUTS = [
      "steps_union.csv:2:"),
     ("steps_time_not_number", "steps_union.csv", lambda row: row.split(",")[0] + ",x,1.0", "evaluate",
      "steps_union.csv:2:"),
+    ("sidecar_without_ground_truth", "corpus/slow_pace_001.json", _without_ground_truth, "evaluate",
+     "recording 'slow_pace_001' has no ground truth"),
+    ("sidecar_without_ground_truth_tune", "corpus/slow_pace_001.json", _without_ground_truth, "tune corpus",
+     "recording 'slow_pace_001' has no ground truth"),
 ]
 
 
@@ -347,19 +356,25 @@ BAD_INPUTS = [
 def test_bad_input_fails_cleanly(workspace, tmp_path, capsys, case, name, content, command, expected):
     """Every malformed input exits 1 with a message naming the file, never a traceback."""
     root, _ = workspace
-    det = tmp_path / "det"
+    det, corpus = tmp_path / "det", root / "corpus"
     shutil.copytree(root / "det", det)
-    bad = det / name
-    if callable(content):
+    if name.startswith("corpus/"):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        bad = tmp_path / name
+        bad.write_text(content(bad.read_text()))
+    elif callable(content):
+        bad = det / name
         _edit_row(bad, 2, content)
     else:
         bad = tmp_path / name
         bad.write_text(content)
-    corpus, out = str(root / "corpus"), str(tmp_path / "out")
+    corpus, out = str(corpus), str(tmp_path / "out")
     argv = {
         "detect union": ["detect", "--alg", "union", "--params", str(bad), "--corpus", corpus, "--out", out],
         "detect left": ["detect", "--alg", "left", "--params", str(bad), "--corpus", corpus, "--out", out],
         "tune": ["tune", "--config", str(bad), "--corpus", corpus, "--out", out],
+        "tune corpus": ["tune", "--corpus", corpus, "--out", out],
         "simulate": ["simulate", "--spec", str(bad), "--out", out],
         "evaluate": ["evaluate", "--corpus", corpus, "--detections", str(det), "--out", out],
     }[command]

@@ -217,6 +217,18 @@ class TestSummaries:
         # With zero successful recordings there is nothing to summarize.
         assert AlgorithmId.HIGH_LEVEL_UNION not in result.summary.per_algorithm
 
+    def test_recording_without_ground_truth_is_named(self, small_corpus):
+        """Counting and error rows both need a label: a recording without
+        ground truth is an error naming it, not an AttributeError."""
+        bare = dataclasses.replace(small_corpus[1], ground_truth=None)
+        recs = [small_corpus[0], bare]
+        match = f"recording '{bare.id}' has no ground truth"
+        with pytest.raises(ValueError, match=match):
+            summarize_counts({AlgorithmId.NO_FUSION_LEFT: {r.id: 10 for r in recs}}, recs)
+        no_dist = DetectorParams(smooth_single=0.1, min_peak_amp=0.12, min_peak_gap=0.4)
+        with pytest.raises(ValueError, match=match):  # every recording becomes an error row
+            evaluate_corpus(recs, [AlgorithmId.HIGH_LEVEL_UNION], {AlgorithmId.HIGH_LEVEL_UNION: no_dist})
+
     def test_evaluate_corpus_isolates_a_bad_recording(self, small_corpus):
         # Two samples are too few for peak detection; only that recording fails.
         rec = small_corpus[0]

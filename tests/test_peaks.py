@@ -207,6 +207,22 @@ class TestPriorityKeys:
         assert np.array_equal(keep, greedy_nms(times, priority_rank(times, -amps), radius, group))
         assert np.array_equal(keep, sequential_greedy(times, [(-a,) for a in amps], radius, group))
 
+    @given(grouped_peaks())
+    @settings(max_examples=200)
+    def test_union_merge_is_a_stable_sort(self, peaks):
+        """The merge of two ordered pools is the stable sort by (group, time)
+        of the left pool then the right one: left first at equal times."""
+        group, times, amps, src = peaks
+        left, right = (Pool(group[src == s], times[src == s], amps[src == s]) for s in (0, 1))
+        merged, key = union_merge(left, right)
+        joined = [np.concatenate(pair) for pair in zip((left.group, left.times, left.amps, -src[src == 0]),
+                                                        (right.group, right.times, right.amps, -src[src == 1]))]
+        order = np.lexsort((joined[1], joined[0]))
+        for got, want in zip((merged.group, merged.times, merged.amps, key.real, key.imag),
+                             (*joined[:3], -joined[2], joined[3])):
+            want = want[order]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     @given(grouped_peaks(), radii)
     @settings(max_examples=200)
     def test_union_key(self, peaks, radius):

@@ -3,11 +3,13 @@ its grid counts must match its steps, and the stages it keeps across calls
 must give what a fresh engine gives."""
 import gc
 import importlib.util
+import random
 import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dualwrist import (
@@ -28,7 +30,7 @@ from dualwrist import (
     union_fuse,
 )
 from dualwrist import pipeline
-from dualwrist.fusion import smoothed_magnitude
+from dualwrist.fusion import mutual_nearest, smoothed_magnitude
 
 from conftest import fused, recording_from_signals
 
@@ -104,8 +106,9 @@ class TestEngineMatchesPlainPipelines:
             engine.steps(AlgorithmId.NO_FUSION_LEFT, "nope", PARAM_POINTS[0])
 
 
-# At least two values per field. count_tensor gates the amplitude thresholds
-# above the lowest one after suppression; steps gates every one before it.
+# At least two values per field. count_tensor counts every amplitude threshold
+# of a family from one pool suppressed at the lowest, and every fuse_max_dist
+# of one intersect pairing; steps gates each point's own threshold first.
 SMALL_GRID = ParamGrid(
     smooth_single=(0.02, 0.2), smooth_fused=(0.0, 0.08), min_peak_amp=(0.04, 0.2, 0.3),
     min_peak_gap=(0.22, 0.4), fuse_max_dist=(0.18, 0.3), fuse_min_dist=(0.14, 0.3),
@@ -116,6 +119,28 @@ SMALL_GRID = ParamGrid(
 def test_count_tensor_counts_the_steps(small_corpus, alg):
     engine = CorpusEngine(small_corpus)
     points = SMALL_GRID.points(alg)
+    counts = engine.count_tensor(alg, points)
+    expected = [[len(engine.steps(alg, rec.id, params)) for rec in small_corpus] for params in points]
+    assert counts.tolist() == expected
+
+
+@pytest.mark.parametrize("alg", list(AlgorithmId))
+def test_count_tensor_counts_any_threshold_list(small_corpus, alg):
+    """Grid points of several families in shuffled order, with repeated
+    thresholds and a threshold equal to a step's own amplitude (the gate is
+    inclusive), or for intersect to a pair's own distance, count the steps."""
+    engine = CorpusEngine(small_corpus)
+    grid = SMALL_GRID.points(alg)
+    base = grid[0]  # the lowest amplitude, so its steps lie above the floor
+    rid = small_corpus[0].id
+    amps = engine.steps(alg, rid, base).amplitudes
+    points = grid + grid[::3] + [replace(base, min_peak_amp=float(amps[amps > base.min_peak_amp][0]))]
+    if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
+        left, right = (engine.steps(one, rid, base).times
+                       for one in (AlgorithmId.NO_FUSION_LEFT, AlgorithmId.NO_FUSION_RIGHT))
+        _, dist = mutual_nearest(left, right, np.zeros(len(left)), np.zeros(len(right)))
+        points.append(replace(base, fuse_max_dist=float(dist[np.isfinite(dist)][0])))
+    random.Random(5).shuffle(points)
     counts = engine.count_tensor(alg, points)
     expected = [[len(engine.steps(alg, rec.id, params)) for rec in small_corpus] for params in points]
     assert counts.tolist() == expected
