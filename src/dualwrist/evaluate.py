@@ -253,9 +253,14 @@ def evaluate_corpus(
     """Run every requested detector on every recording and aggregate.
 
     A recording that fails for one detector becomes an error row instead of
-    aborting the evaluation.
+    aborting the evaluation. ``engine``, when given, must hold every
+    recording of ``dataset``.
     """
     engine = engine or CorpusEngine(dataset)
+    foreign = next((rec.id for rec in dataset if rec.id not in engine.recordings), None)
+    if foreign is not None:
+        raise ValueError(f"recording {foreign!r} is not in the engine's corpus")
+    engine.detect({alg: params_by_alg[alg] for alg in algorithms})
     counts_by_alg: Dict[AlgorithmId, Dict[str, int]] = {}
     phase_times: Dict[AlgorithmId, Dict[str, np.ndarray]] = {}
     error_rows: List[RecordingResult] = []

@@ -9,17 +9,18 @@ peaks of all recordings at once. ``steps`` and ``count_tensor`` read the same
 stage results.
 
 An engine runs each expensive stage once. Within one call, both wrists are
-smoothed once per window for every family built on it. Across calls, the
-engine keeps each wrist's gap-suppressed peaks per (window, wrist, gap), so
-``left``, ``right``, ``intersect``, ``union`` and their evaluation share one
-build of each single-side family.
+smoothed once per window for every family built on it: ``detect`` builds the
+single-side, ``sum`` and ``diff`` families of a window from one smoothed
+pair. Across calls, the engine keeps each wrist's gap-suppressed peaks per
+(window, wrist, gap), so ``left``, ``right``, ``intersect``, ``union`` and
+their evaluation share one build of each single-side family.
 """
 from __future__ import annotations
 
 import copy
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,6 +73,18 @@ def _tally(group: np.ndarray, values: np.ndarray, thresholds: np.ndarray, n: int
     return at_least[:, level_of + 1].T
 
 
+def _held(hold: Optional[Dict], window: float, make: Callable[[], Iterable]) -> Iterable:
+    """``make()``'s signals of ``window``, kept in ``hold`` for the later
+    builds on that window when ``hold`` is given; a new window drops the
+    last one's before it makes its own."""
+    if hold is None:
+        return make()
+    if window not in hold:
+        hold.clear()
+        hold[window] = list(make())
+    return hold[window]
+
+
 def _fresh(exc: Exception) -> Exception:
     """A copy of a kept error to raise: raising the kept one would tie the
     raising frames, and through them the engine, to it."""
@@ -122,17 +135,25 @@ class CorpusEngine:
       ``min_peak_gap``) of the single-side families, about 0.7 MB each on
       the default corpus (48 of them, 34 MB, after tuning on the default
       grid), plus those of the most recent low-level family;
-    - the steps of the most recent ``steps`` call.
+    - the steps of the most recent ``detect`` call, one pool per algorithm.
 
-    Within one ``count_tensor`` call on ``sum`` or ``diff``, ``held`` keeps
-    each recording's combined signal (``n_l + n_r`` or ``|n_r - n_l|``) of one
-    ``smooth_single`` window, about 15 MB on the default corpus, and every
-    ``smooth_fused`` family of that window smooths it. Candidates, smoothed
-    and combined signals and fusion stage results last one call.
+    Within one ``detect`` call, ``pairs`` keeps both wrists' smoothed
+    magnitudes of one ``smooth_single`` window, about 30 MB on the default
+    corpus, while every requested family on that window is built from them:
+    the single-side family, and ``sum`` and ``diff``. Within one
+    ``count_tensor`` call on ``sum`` or ``diff``, ``held`` keeps instead each
+    recording's combined signal (``n_l + n_r`` or ``|n_r - n_l|``) of one
+    window, half that size, and every ``smooth_fused`` family of that window
+    smooths it. Candidates, smoothed and combined signals and fusion stage
+    results last one call.
     """
 
     def __init__(self, recordings: Iterable[Recording]):
-        self.recordings = {r.id: r for r in recordings}
+        self.recordings: Dict[str, Recording] = {}
+        for r in recordings:
+            if r.id in self.recordings:
+                raise ValueError(f"recording id {r.id!r} occurs more than once in the corpus")
+            self.recordings[r.id] = r
         if not self.recordings:
             raise ValueError("corpus must not be empty")
         self._index = {rid: i for i, rid in enumerate(self.recordings)}
@@ -141,7 +162,9 @@ class CorpusEngine:
         # floor and gap-suppressed). A stream kept at one floor serves every
         # higher floor: the gated peaks are a prefix of the suppression order.
         self._kept: Dict[Tuple, Tuple[float, Pool]] = {}
-        self._last: Tuple = (None, None)  # (alg, params) of the last steps call, its steps
+        # (alg, params) -> (its family's failed recordings, its steps in every
+        # recording or why it has none), from the most recent detect call.
+        self._found: Dict[Tuple, Tuple[Errors, Union[Pool, Exception]]] = {}
 
     def columns(self, recordings: Sequence[Recording]) -> List[int]:
         """Positions of ``recordings`` in the engine's corpus order."""
@@ -154,22 +177,21 @@ class CorpusEngine:
         for r in self.recordings.values():
             yield smoothed_magnitude(r, Side.LEFT, window), smoothed_magnitude(r, Side.RIGHT, window)
 
-    def _build(self, key: Tuple, held: Optional[Dict] = None) -> _Family:
-        """Family ``key``'s candidates. ``held``, when given, carries each
-        recording's combined signal (:func:`combined_signal`) of one window
-        between the low-level builds of one call, which share one algorithm;
-        otherwise each recording's is dropped once fused."""
+    def _build(self, key: Tuple, held: Optional[Dict] = None, pairs: Optional[Dict] = None) -> _Family:
+        """Family ``key``'s candidates. ``pairs``, when given, carries both
+        wrists' smoothed magnitudes of one window between the builds of one
+        call; ``held`` carries each recording's combined signal
+        (:func:`combined_signal`) of one window between the low-level builds
+        of one call, which share one algorithm. Otherwise each recording's
+        signals are dropped once used."""
         alg, window, smooth_fused = key
         try:
+            smoothed = _held(pairs, window, lambda: self._smoothed(window))
             if alg is None:
-                family = _build_family(list(self._smoothed(window)))
+                family = _build_family(list(smoothed))
             else:
-                combined = (combined_signal(n_l, n_r, alg) for n_l, n_r in self._smoothed(window))
-                if held is not None:
-                    if window not in held:
-                        held.clear()
-                        held[window] = list(combined)
-                    combined = held[window]
+                combined = _held(held, window,
+                                 lambda: (combined_signal(n_l, n_r, alg) for n_l, n_r in smoothed))
                 family = _build_family([[fused_signal(c, smooth_fused)] for c in combined])
         except ValueError as exc:  # no signals or context: every recording fails
             exc = exc.with_traceback(None)
@@ -178,13 +200,13 @@ class CorpusEngine:
         return family
 
     def _prepare(self, key: Tuple, floor: float, gaps: Iterable[float],
-                 held: Optional[Dict] = None) -> Errors:
+                 held: Optional[Dict] = None, pairs: Optional[Dict] = None) -> Errors:
         """Keep every stream of family ``key`` gated at ``floor`` or below and
         gap-suppressed at each of ``gaps``; returns the family's failed
-        recordings. The family's candidates are built only when a stream is
-        missing. A single-side family has two streams whatever the
-        algorithm, so ``left`` also keeps what ``right``, ``intersect`` and
-        ``union`` read."""
+        recordings. The family's candidates are built (see ``_build``) only
+        when a stream is missing. A single-side family has two streams
+        whatever the algorithm, so ``left`` also keeps what ``right``,
+        ``intersect`` and ``union`` read."""
         known = self._contexts.get(key)
         if known is not None and known[0] is None:
             return known[1]
@@ -194,7 +216,7 @@ class CorpusEngine:
         if missing:
             if key[0] is not None:  # low-level families are many: keep one at a time
                 self._kept = {k: v for k, v in self._kept.items() if k[0][0] is None or k[0] == key}
-            family = self._build(key, held)
+            family = self._build(key, held, pairs)
             if family.ctx is not None:
                 for s in sorted({s for s, _ in missing}):
                     gated = family.streams[s].gate(floor)
@@ -250,19 +272,52 @@ class CorpusEngine:
 
     # -- detection ----------------------------------------------------------
 
+    def detect(self, params_by_alg: Mapping[AlgorithmId, DetectorParams]) -> None:
+        """Detect each algorithm at its parameters in every recording, and keep
+        the steps for ``steps`` in place of the last call's.
+
+        The algorithms are taken one ``smooth_single`` window at a time. Both
+        wrists of a window are smoothed once for every family built on it,
+        and held until the next window only when it has more than one
+        family. Each algorithm's steps are taken as soon as its family is
+        kept, before the next low-level family evicts it.
+        """
+        self._found = {}  # free the previous steps first
+        windows: Dict[float, List[Tuple[AlgorithmId, DetectorParams]]] = {}
+        for alg, params in params_by_alg.items():
+            windows.setdefault(params.smooth_single, []).append((alg, params))
+        found = {}
+        for requests in windows.values():
+            # Both wrists of this window, once a family on it is built, when
+            # another family on it may need them.
+            shared = len({_family_key(alg, params) for alg, params in requests}) > 1
+            pairs = {} if shared else None
+            for alg, params in requests:
+                key = _family_key(alg, params)
+                errors = self._prepare(key, params.min_peak_amp, (params.min_peak_gap,), pairs=pairs)
+                try:
+                    steps = self._detect(alg, key, params) if len(errors) < len(self.recordings) else None
+                except ValueError as exc:  # a parameter the algorithm lacks
+                    steps = exc.with_traceback(None)  # kept by the engine: hold no frames
+                found[(alg, params)] = (errors, steps)
+        self._found = found
+
     def steps(self, alg: AlgorithmId, rid: str, params: DetectorParams) -> PeakSet:
         """The steps ``alg`` detects in recording ``rid``: the gated and
         gap-suppressed candidates of each of its streams, fused when it has two.
-        The first call for (``alg``, ``params``) detects in every recording."""
+        Read from the most recent ``detect`` call, or from a ``detect`` of
+        (``alg``, ``params``) alone when that call did not request it. A
+        recording whose family failed raises that error before any error of
+        ``params`` itself."""
         i = self._index[rid]
-        key = _family_key(alg, params)
-        errors = self._prepare(key, params.min_peak_amp, (params.min_peak_gap,))
+        if (alg, params) not in self._found:
+            self.detect({alg: params})
+        errors, steps = self._found[(alg, params)]
         if i in errors:
             raise _fresh(errors[i])
-        if self._last[0] != (alg, params):
-            self._last = (None, None)  # free the previous steps first
-            self._last = ((alg, params), self._detect(alg, key, params))
-        return self._last[1].peaks(i)
+        if isinstance(steps, Exception):
+            raise _fresh(steps)
+        return steps.peaks(i)
 
     # -- grid counts --------------------------------------------------------
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dualwrist import (
     AlgorithmId,
+    CorpusEngine,
     CorpusSpec,
     DetectorParams,
     GroundTruth,
@@ -248,3 +249,59 @@ class TestSummaries:
         ]
         assert all("at least 3 samples" in row.error for row in error_rows)
         assert len(result.rows) == len(algs) * (len(small_corpus) + 1)
+
+    def test_engine_without_a_recording_is_named(self, small_corpus):
+        """An engine built on part of the dataset names the first recording it
+        lacks rather than turning each into an error row."""
+        engine = CorpusEngine(small_corpus[:4])
+        params = {AlgorithmId.NO_FUSION_LEFT: DetectorParams(smooth_single=0.1, min_peak_amp=0.12,
+                                                             min_peak_gap=0.4)}
+        match = f"recording {small_corpus[4].id!r} is not in the engine's corpus"
+        with pytest.raises(ValueError, match=match):
+            evaluate_corpus(small_corpus, list(params), params, engine=engine)
+
+    def test_shared_engine_matches_one_detector_at_a_time(self, small_corpus):
+        """One evaluation of six detectors on a shared engine gives the rows,
+        summaries and phase offsets of six single-detector evaluations on
+        fresh engines, error rows in the same order and with the same text."""
+        rec = small_corpus[0]
+
+        def head(s):
+            return TriaxialSeries(rate=s.rate, x=s.x[:2], y=s.y[:2], z=s.z[:2], t0=s.t0)
+
+        short = dataclasses.replace(rec, id="short", left=head(rec.left),
+                                    right=head(rec.right), duration=2 / rec.rate)
+        dataset = [short] + list(small_corpus)
+        shared = dict(min_peak_amp=0.12, min_peak_gap=0.4, fuse_max_dist=0.3)
+        params = {
+            AlgorithmId.NO_FUSION_LEFT: DetectorParams(smooth_single=0.2, **shared),
+            AlgorithmId.NO_FUSION_RIGHT: DetectorParams(smooth_single=0.1, **shared),
+            AlgorithmId.LOW_LEVEL_SUM: DetectorParams(smooth_single=0.1, smooth_fused=0.08, **shared),
+            AlgorithmId.LOW_LEVEL_DIFF: DetectorParams(smooth_single=0.1, smooth_fused=0.0, **shared),
+            AlgorithmId.HIGH_LEVEL_INTERSECT: DetectorParams(smooth_single=0.2, **shared),
+            AlgorithmId.HIGH_LEVEL_UNION: DetectorParams(smooth_single=0.1, **shared),  # no fuse_min_dist
+        }
+        algs = list(params)
+        together = evaluate_corpus(dataset, algs, params, phase_algorithms=algs)
+        alone = [evaluate_corpus(dataset, [alg], params, engine=CorpusEngine(dataset),
+                                 phase_algorithms=algs) for alg in algs]
+        ok, errors = [], []
+        for result in alone:
+            ok += [row for row in result.rows if row.error is None]
+            errors += [row for row in result.rows if row.error is not None]
+        assert together.rows == ok + errors
+        assert [(row.recording_id, row.algorithm) for row in errors][-len(dataset) - 1:] == (
+            [("short", AlgorithmId.HIGH_LEVEL_INTERSECT)] + [(r.id, AlgorithmId.HIGH_LEVEL_UNION) for r in dataset])
+        assert "at least 3 samples" in errors[-len(dataset)].error  # the family error comes first
+        assert all("requires fuse_min_dist" in row.error for row in errors[-len(dataset) + 1:])
+        summary, per_task, phase = {}, {}, {}
+        for result in alone:
+            summary.update(result.summary.per_algorithm)
+            per_task.update(result.per_task)
+            phase.update(result.phase)
+        assert together.summary.per_algorithm == summary
+        assert together.per_task == per_task
+        assert together.phase.keys() == phase.keys()
+        for alg, report in phase.items():
+            assert np.array_equal(together.phase[alg].dt_heel, report.dt_heel)
+            assert np.array_equal(together.phase[alg].dt_toe, report.dt_toe)

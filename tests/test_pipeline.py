@@ -100,6 +100,11 @@ class TestEngineMatchesPlainPipelines:
         with pytest.raises(ValueError):
             CorpusEngine([])
 
+    def test_duplicate_recording_id_rejected(self, small_corpus):
+        recs = [small_corpus[0], small_corpus[1], small_corpus[0]]
+        with pytest.raises(ValueError, match=f"{small_corpus[0].id!r} occurs more than once"):
+            CorpusEngine(recs)
+
     def test_unknown_recording_rejected(self, small_corpus):
         engine = CorpusEngine(small_corpus)
         with pytest.raises(KeyError):
@@ -187,6 +192,56 @@ def test_low_level_grid_combines_each_window_once(small_corpus, alg, monkeypatch
     for p, params in enumerate(points):
         fresh = CorpusEngine(small_corpus)
         assert counts[p].tolist() == [len(fresh.steps(alg, rec.id, params)) for rec in small_corpus]
+
+
+def test_evaluation_smooths_each_wrist_once_per_window(small_corpus, monkeypatch):
+    """Evaluating all six detectors, with sum, diff and union on one window,
+    smooths each wrist once per window and detects what fresh engines do."""
+    shared = dict(min_peak_amp=0.12, min_peak_gap=0.4, fuse_max_dist=0.3, fuse_min_dist=0.3)
+    params = {
+        AlgorithmId.NO_FUSION_LEFT: DetectorParams(smooth_single=0.2, **shared),
+        AlgorithmId.NO_FUSION_RIGHT: DetectorParams(smooth_single=0.2, **shared),
+        AlgorithmId.LOW_LEVEL_SUM: DetectorParams(smooth_single=0.1, smooth_fused=0.08, **shared),
+        AlgorithmId.LOW_LEVEL_DIFF: DetectorParams(smooth_single=0.1, smooth_fused=0.0, **shared),
+        AlgorithmId.HIGH_LEVEL_INTERSECT: DetectorParams(smooth_single=0.16, **shared),
+        AlgorithmId.HIGH_LEVEL_UNION: DetectorParams(smooth_single=0.1, **shared),
+    }
+    calls = Counter()
+    real = pipeline.smoothed_magnitude
+
+    def counted(rec, side, window):
+        calls[(rec.id, side, window)] += 1
+        return real(rec, side, window)
+
+    monkeypatch.setattr(pipeline, "smoothed_magnitude", counted)
+    result = evaluate_corpus(small_corpus, list(params), params)
+    windows = {p.smooth_single for p in params.values()}
+    assert calls == {(rec.id, side, w): 1 for rec in small_corpus for side in Side for w in windows}
+    monkeypatch.undo()
+    assert all(row.error is None for row in result.rows)
+    for alg, p in params.items():
+        fresh = CorpusEngine(small_corpus)
+        counts = {row.recording_id: row.count for row in result.rows if row.algorithm is alg}
+        assert counts == {rec.id: len(fresh.steps(alg, rec.id, p)) for rec in small_corpus}
+
+
+def test_detect_keeps_the_steps_of_its_last_call(small_corpus, monkeypatch):
+    """``steps`` reads what ``detect`` found; a request outside it detects
+    that algorithm alone, in place of what the last call kept."""
+    engine = CorpusEngine(small_corpus)
+    left, union = AlgorithmId.NO_FUSION_LEFT, AlgorithmId.HIGH_LEVEL_UNION
+    engine.detect({left: PARAM_POINTS[0], union: PARAM_POINTS[0]})
+    calls = []
+    real = pipeline.CorpusEngine.detect
+    monkeypatch.setattr(pipeline.CorpusEngine, "detect",
+                        lambda self, requests: calls.append(dict(requests)) or real(self, requests))
+    rid = small_corpus[0].id
+    engine.steps(left, rid, PARAM_POINTS[0])
+    engine.steps(union, rid, PARAM_POINTS[0])
+    assert calls == []
+    engine.steps(left, rid, PARAM_POINTS[1])
+    engine.steps(union, rid, PARAM_POINTS[0])
+    assert calls == [{left: PARAM_POINTS[1]}, {union: PARAM_POINTS[0]}]
 
 
 def test_fused_detectors_reuse_single_side_streams(small_corpus, monkeypatch):
