@@ -10,6 +10,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .config import (
+    _is_number,
     corpus_spec_from_config,
     default_config,
     grid_from_config,
@@ -18,17 +19,13 @@ from .config import (
 from .core import AlgorithmId, DetectorParams, Recording, WalkTask, required_param_fields
 from .evaluate import summarize_counts
 from .io_formats import (
-    FormatError, _read_json, context_to_json, dump_json, load_corpus, load_manifest, save_corpus,
+    FormatError, _fmt, _read_json, context_to_json, dump_json, load_corpus, load_manifest, save_corpus,
 )
 from .pipeline import CorpusEngine
 from .simulate import simulate_corpus
 from .tuning import cross_validate
 
 ALL_ALGS = list(AlgorithmId)
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def _parse_algs(values: Optional[List[str]]) -> List[AlgorithmId]:
@@ -105,7 +102,7 @@ def _params_for(alg: AlgorithmId, params_path: str) -> DetectorParams:
     if missing:
         raise FormatError(f"{where}: missing {', '.join(missing)}")
     for name, v in d.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
+        if not _is_number(v):
             raise FormatError(f"{where}: {name} must be a number, not {v!r}")
     try:
         return DetectorParams.from_dict(d)

@@ -83,18 +83,17 @@ def mutual_nearest(
     return j, np.where(d < other, d, np.inf)
 
 
-def intersect(left: Pool, right: Pool, pairs: Tuple[np.ndarray, np.ndarray], max_dist: float) -> Pool:
-    """The higher-amplitude member (ties: right) of every mutually nearest pair
-    within ``max_dist``; ``pairs`` is :func:`mutual_nearest` of the two pools."""
-    j, d = pairs
-    paired = d <= max_dist
-    j = j[paired]
-    right_wins = right.amps[j] >= left.amps[paired]
+def intersect(left: Pool, right: Pool, nearest: np.ndarray, keep: np.ndarray) -> Pool:
+    """The higher-amplitude member (ties: right) of every pair that ``keep``
+    selects by its left peak; ``nearest`` is each left peak's mutually
+    nearest right peak, from :func:`mutual_nearest`."""
+    j = nearest[keep]
+    right_wins = right.amps[j] >= left.amps[keep]
     # Mutually nearest pairs never cross, so the emitted times stay increasing.
     return Pool(
-        group=left.group[paired],
-        times=np.where(right_wins, right.times[j], left.times[paired]),
-        amps=np.where(right_wins, right.amps[j], left.amps[paired]),
+        group=left.group[keep],
+        times=np.where(right_wins, right.times[j], left.times[keep]),
+        amps=np.where(right_wins, right.amps[j], left.amps[keep]),
     )
 
 
@@ -109,8 +108,8 @@ def intersect_fuse(t_left: PeakSet, t_right: PeakSet, max_dist: float) -> PeakSe
     if max_dist < 0:
         raise ValueError("max_dist must be >= 0")
     left, right = Pool.of([t_left]), Pool.of([t_right])
-    pairs = mutual_nearest(left.times, right.times, left.group, right.group)
-    return intersect(left, right, pairs, max_dist).peaks(0)
+    nearest, dist = mutual_nearest(left.times, right.times, left.group, right.group)
+    return intersect(left, right, nearest, dist <= max_dist).peaks(0)
 
 
 def union_merge(left: Pool, right: Pool) -> Tuple[Pool, np.ndarray]:

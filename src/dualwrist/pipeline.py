@@ -5,15 +5,16 @@ magnitudes, or the low-level fused signal), min-max normalized candidate
 peaks, gap suppression, and, for high-level fusion, intersect or union of the
 two wrists' steps. Normalization contexts and candidates are computed once per
 signal family over the whole corpus, and suppression and fusion run over the
-peaks of all recordings at once. ``steps`` and ``count_tensor`` read the same
-stage results.
+peaks of all recordings at once. ``detect``, ``count_tensor`` and
+``context_for`` run one plan over their requests; ``detect`` applies the
+threshold of the one last stage, ``count_tensor`` counts every threshold.
 
-An engine runs each expensive stage once. Within one call, both wrists are
-smoothed once per window for every family built on it: ``detect`` builds the
-single-side, ``sum`` and ``diff`` families of a window from one smoothed
-pair. Across calls, the engine keeps each wrist's gap-suppressed peaks per
-(window, wrist, gap), so ``left``, ``right``, ``intersect``, ``union`` and
-their evaluation share one build of each single-side family.
+An engine runs each expensive stage once. The plan builds each family once,
+one ``smooth_single`` window at a time, so both wrists are smoothed once per
+window, and chooses per window what it holds between that window's builds.
+Across calls, the engine keeps each wrist's gap-suppressed peaks per (window,
+wrist, gap), so ``left``, ``right``, ``intersect``, ``union`` and their
+evaluation share one build of each single-side family.
 """
 from __future__ import annotations
 
@@ -29,11 +30,12 @@ from .fusion import combined_signal, fused_signal, intersect, mutual_nearest, sm
 from .peaks import Pool, candidate_peaks, suppression_key
 from .preprocess import NormalizationContext, fit_normalization, min_max_normalize
 
-# Streams of its signal family that an algorithm detects on: the left (0)
-# and right (1) wrist of a single-side family, or the fused signal (0).
-_STREAMS = {AlgorithmId.NO_FUSION_LEFT: (0,), AlgorithmId.NO_FUSION_RIGHT: (1,),
-            AlgorithmId.LOW_LEVEL_SUM: (0,), AlgorithmId.LOW_LEVEL_DIFF: (0,),
-            AlgorithmId.HIGH_LEVEL_INTERSECT: (0, 1), AlgorithmId.HIGH_LEVEL_UNION: (0, 1)}
+# Streams of its signal family that an algorithm detects on: both wrists of
+# a single-side family for high-level fusion, else the left (0) or right (1)
+# wrist, or the fused signal (0).
+_STREAMS = dict.fromkeys(AlgorithmId, (0, 1))
+_STREAMS.update({AlgorithmId.NO_FUSION_LEFT: (0,), AlgorithmId.NO_FUSION_RIGHT: (1,),
+                 AlgorithmId.LOW_LEVEL_SUM: (0,), AlgorithmId.LOW_LEVEL_DIFF: (0,)})
 
 # The parameter of each algorithm's last stage: the amplitude gate, except
 # for intersect, whose gate comes before the pairing that fuse_max_dist cuts.
@@ -51,11 +53,13 @@ def _family_key(alg: AlgorithmId, params: DetectorParams) -> Tuple:
 
 
 def _last_threshold(alg: AlgorithmId, params: DetectorParams) -> float:
-    """The threshold of ``alg``'s last stage at ``params``."""
+    """The least value that ``alg``'s last stage keeps at ``params``: an
+    amplitude, or for intersect a negated pair distance, since a pair is
+    kept within ``fuse_max_dist``."""
     value = getattr(params, _LAST_STAGE[alg])
     if value is None:  # min_peak_amp is required, fuse_max_dist is not
         raise ValueError("intersection fusion requires fuse_max_dist")
-    return value
+    return -value if alg is AlgorithmId.HIGH_LEVEL_INTERSECT else value
 
 
 def _tally(group: np.ndarray, values: np.ndarray, thresholds: np.ndarray, n: int) -> np.ndarray:
@@ -73,16 +77,15 @@ def _tally(group: np.ndarray, values: np.ndarray, thresholds: np.ndarray, n: int
     return at_least[:, level_of + 1].T
 
 
-def _held(hold: Optional[Dict], window: float, make: Callable[[], Iterable]) -> Iterable:
-    """``make()``'s signals of ``window``, kept in ``hold`` for the later
-    builds on that window when ``hold`` is given; a new window drops the
-    last one's before it makes its own."""
-    if hold is None:
+def _held(hold: Dict, kind: Optional[AlgorithmId], make: Callable[[], Iterable]) -> Iterable:
+    """``make()``'s signals of ``kind`` (None: both wrists' smoothed
+    magnitudes, else that algorithm's combined signal), kept in ``hold`` for
+    the window's later builds when ``hold`` has a place for ``kind``."""
+    if kind not in hold:
         return make()
-    if window not in hold:
-        hold.clear()
-        hold[window] = list(make())
-    return hold[window]
+    if hold[kind] is None:
+        hold[kind] = list(make())
+    return hold[kind]
 
 
 def _fresh(exc: Exception) -> Exception:
@@ -137,15 +140,12 @@ class CorpusEngine:
       grid), plus those of the most recent low-level family;
     - the steps of the most recent ``detect`` call, one pool per algorithm.
 
-    Within one ``detect`` call, ``pairs`` keeps both wrists' smoothed
-    magnitudes of one ``smooth_single`` window, about 30 MB on the default
-    corpus, while every requested family on that window is built from them:
-    the single-side family, and ``sum`` and ``diff``. Within one
-    ``count_tensor`` call on ``sum`` or ``diff``, ``held`` keeps instead each
-    recording's combined signal (``n_l + n_r`` or ``|n_r - n_l|``) of one
-    window, half that size, and every ``smooth_fused`` family of that window
-    smooths it. Candidates, smoothed and combined signals and fusion stage
-    results last one call.
+    Within one call, ``_plan`` holds at most one thing per ``smooth_single``
+    window while it builds that window's families: both wrists' smoothed
+    magnitudes (about 30 MB on the default corpus), or each recording's
+    combined signal (``n_l + n_r`` or ``|n_r - n_l|``, half that size).
+    Candidates, smoothed and combined signals and fusion stage results last
+    one call.
     """
 
     def __init__(self, recordings: Iterable[Recording]):
@@ -177,21 +177,16 @@ class CorpusEngine:
         for r in self.recordings.values():
             yield smoothed_magnitude(r, Side.LEFT, window), smoothed_magnitude(r, Side.RIGHT, window)
 
-    def _build(self, key: Tuple, held: Optional[Dict] = None, pairs: Optional[Dict] = None) -> _Family:
-        """Family ``key``'s candidates. ``pairs``, when given, carries both
-        wrists' smoothed magnitudes of one window between the builds of one
-        call; ``held`` carries each recording's combined signal
-        (:func:`combined_signal`) of one window between the low-level builds
-        of one call, which share one algorithm. Otherwise each recording's
-        signals are dropped once used."""
+    def _build(self, key: Tuple, hold: Dict) -> _Family:
+        """Family ``key``'s candidates; the signals ``hold`` has no place for
+        are dropped once used (see ``_held``)."""
         alg, window, smooth_fused = key
         try:
-            smoothed = _held(pairs, window, lambda: self._smoothed(window))
+            smoothed = _held(hold, None, lambda: self._smoothed(window))
             if alg is None:
                 family = _build_family(list(smoothed))
             else:
-                combined = _held(held, window,
-                                 lambda: (combined_signal(n_l, n_r, alg) for n_l, n_r in smoothed))
+                combined = _held(hold, alg, lambda: (combined_signal(n_l, n_r, alg) for n_l, n_r in smoothed))
                 family = _build_family([[fused_signal(c, smooth_fused)] for c in combined])
         except ValueError as exc:  # no signals or context: every recording fails
             exc = exc.with_traceback(None)
@@ -199,8 +194,7 @@ class CorpusEngine:
         self._contexts[key] = (family.ctx, family.errors)
         return family
 
-    def _prepare(self, key: Tuple, floor: float, gaps: Iterable[float],
-                 held: Optional[Dict] = None, pairs: Optional[Dict] = None) -> Errors:
+    def _prepare(self, key: Tuple, floor: float, gaps: Iterable[float], hold: Dict) -> Errors:
         """Keep every stream of family ``key`` gated at ``floor`` or below and
         gap-suppressed at each of ``gaps``; returns the family's failed
         recordings. The family's candidates are built (see ``_build``) only
@@ -216,7 +210,7 @@ class CorpusEngine:
         if missing:
             if key[0] is not None:  # low-level families are many: keep one at a time
                 self._kept = {k: v for k, v in self._kept.items() if k[0][0] is None or k[0] == key}
-            family = self._build(key, held, pairs)
+            family = self._build(key, hold)
             if family.ctx is not None:
                 for s in sorted({s for s, _ in missing}):
                     gated = family.streams[s].gate(floor)
@@ -225,46 +219,70 @@ class CorpusEngine:
                         self._kept[(key, s, gap)] = (floor, gated.thin(priority, gap))
         return self._contexts[key][1]
 
-    def _pregate(self, alg: AlgorithmId, key: Tuple, params: DetectorParams, merges: Dict) -> Pool:
-        """The pool whose peaks at or above ``params.min_peak_amp`` are the
-        steps ``alg`` (any but ``intersect``) detects at ``params`` in every
-        recording, from the kept streams of ``key`` (see ``_prepare``).
-        ``merges`` carries each gap's union merge between calls.
+    def _plan(self, requests: Sequence[Tuple[AlgorithmId, DetectorParams]]
+              ) -> Iterator[Tuple[Tuple, Errors, List[List[int]]]]:
+        """Prepare the family of every (algorithm, parameters) request and
+        yield, one family at a time, its key, its failed recordings and the
+        positions of its requests, grouped by algorithm and every parameter
+        but the last stage's.
+
+        Requests are taken one ``smooth_single`` window at a time. Each
+        family is prepared once, at its requests' lowest ``min_peak_amp``
+        with all their gaps, and yielded before the next low-level family
+        evicts it. Between a window's builds the plan holds both wrists'
+        smoothed magnitudes when the window's families differ in kind, the
+        combined signal when they are all one low-level detector's, and
+        nothing for one family.
+        """
+        windows: Dict[float, Dict[Tuple, Dict[Tuple, List[int]]]] = {}
+        for i, (alg, params) in enumerate(requests):
+            shared = params.to_dict()
+            del shared[_LAST_STAGE[alg]]
+            family = windows.setdefault(params.smooth_single, {}).setdefault(_family_key(alg, params), {})
+            family.setdefault((alg, *shared.values()), []).append(i)
+        for families in windows.values():
+            kinds = {key[0] for key in families}  # None for the single-side family
+            hold = dict.fromkeys(kinds if len(kinds) == 1 else [None]) if len(families) > 1 else {}
+            for key, groups in families.items():
+                rows = [i for group in groups.values() for i in group]
+                floor = min(requests[i][1].min_peak_amp for i in rows)
+                gaps = dict.fromkeys(requests[i][1].min_peak_gap for i in rows)
+                yield key, self._prepare(key, floor, gaps, hold), list(groups.values())
+
+    def _last_stage(self, alg: AlgorithmId, key: Tuple, params: DetectorParams, merges: Dict
+                    ) -> Tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], Pool]]:
+        """Every stage of ``alg`` at ``params`` before its last threshold,
+        from the kept streams of family ``key`` (see ``_prepare``): each
+        candidate's recording, the value that threshold tests (see
+        :func:`_last_threshold`), and a function from a keep mask of the
+        candidates to the steps. ``merges`` carries each gap's union merge
+        between calls on one family.
 
         A kept stream may be gated at a floor below ``params.min_peak_amp``.
         The gated peaks are a prefix of the suppression and union priority
-        orders, so the steps do not depend on the floor.
+        orders, so the steps do not depend on the floor; intersect pairs
+        after its amplitude gate, so it gates here.
         """
         gap = params.min_peak_gap
         streams = [self._kept[(key, s, gap)][1] for s in _STREAMS[alg]]
-        if len(streams) == 1:
-            return streams[0]
-        if params.fuse_min_dist is None:
-            raise ValueError("union fusion requires fuse_min_dist")
-        if gap not in merges:
-            merges[gap] = union_merge(*streams)
-        merged, priority = merges[gap]
-        return merged.thin(priority, params.fuse_min_dist)
-
-    def _paired(self, key: Tuple, params: DetectorParams) -> Tuple[Pool, Pool, Tuple[np.ndarray, np.ndarray]]:
-        """Both wrists' kept streams of ``key`` gated at ``params.min_peak_amp``
-        and their :func:`mutual_nearest` pairing: every ``intersect`` stage
-        but the ``fuse_max_dist`` cut."""
-        amp, gap = params.min_peak_amp, params.min_peak_gap
-        left, right = (self._kept[(key, s, gap)][1].gate(amp) for s in (0, 1))
-        return left, right, mutual_nearest(left.times, right.times, left.group, right.group)
-
-    def _detect(self, alg: AlgorithmId, key: Tuple, params: DetectorParams) -> Pool:
-        """The steps ``alg`` detects at ``params`` in every recording."""
         if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
-            max_dist = _last_threshold(alg, params)
-            return intersect(*self._paired(key, params), max_dist)
-        return self._pregate(alg, key, params, {}).gate(params.min_peak_amp)
+            left, right = (s.gate(params.min_peak_amp) for s in streams)
+            nearest, dist = mutual_nearest(left.times, right.times, left.group, right.group)
+            return left.group, -dist, lambda keep: intersect(left, right, nearest, keep)
+        if len(streams) == 2:
+            if params.fuse_min_dist is None:
+                raise ValueError("union fusion requires fuse_min_dist")
+            if gap not in merges:
+                merges[gap] = union_merge(*streams)
+            merged, priority = merges[gap]
+            streams = [merged.thin(priority, params.fuse_min_dist)]
+        return streams[0].group, streams[0].amps, streams[0].select
 
     def context_for(self, alg: AlgorithmId, params: DetectorParams) -> NormalizationContext:
         key = _family_key(alg, params)
         if key not in self._contexts:
-            self._build(key)
+            for _ in self._plan([(alg, params)]):
+                pass
         ctx, errors = self._contexts[key]
         if ctx is None:
             raise _fresh(errors[0])
@@ -276,29 +294,24 @@ class CorpusEngine:
         """Detect each algorithm at its parameters in every recording, and keep
         the steps for ``steps`` in place of the last call's.
 
-        The algorithms are taken one ``smooth_single`` window at a time. Both
-        wrists of a window are smoothed once for every family built on it,
-        and held until the next window only when it has more than one
-        family. Each algorithm's steps are taken as soon as its family is
-        kept, before the next low-level family evicts it.
+        The plan builds each family the algorithms need once (see
+        ``_plan``), and each algorithm's steps are taken as soon as its
+        family is kept, before the next low-level family evicts it.
         """
         self._found = {}  # free the previous steps first
-        windows: Dict[float, List[Tuple[AlgorithmId, DetectorParams]]] = {}
-        for alg, params in params_by_alg.items():
-            windows.setdefault(params.smooth_single, []).append((alg, params))
+        requests = list(params_by_alg.items())
         found = {}
-        for requests in windows.values():
-            # Both wrists of this window, once a family on it is built, when
-            # another family on it may need them.
-            shared = len({_family_key(alg, params) for alg, params in requests}) > 1
-            pairs = {} if shared else None
-            for alg, params in requests:
-                key = _family_key(alg, params)
-                errors = self._prepare(key, params.min_peak_amp, (params.min_peak_gap,), pairs=pairs)
-                try:
-                    steps = self._detect(alg, key, params) if len(errors) < len(self.recordings) else None
-                except ValueError as exc:  # a parameter the algorithm lacks
-                    steps = exc.with_traceback(None)  # kept by the engine: hold no frames
+        for key, errors, groups in self._plan(requests):
+            for (i,) in groups:  # one request per algorithm
+                alg, params = requests[i]
+                steps = None  # none when the whole family failed
+                if len(errors) < len(self.recordings):
+                    try:
+                        threshold = _last_threshold(alg, params)
+                        _, values, select = self._last_stage(alg, key, params, {})
+                        steps = select(values >= threshold)
+                    except ValueError as exc:  # a parameter the algorithm lacks
+                        steps = exc.with_traceback(None)  # kept by the engine: hold no frames
                 found[(alg, params)] = (errors, steps)
         self._found = found
 
@@ -330,33 +343,17 @@ class CorpusEngine:
         amplitude gate does not change. Points that differ only in the
         threshold of their last stage (``min_peak_amp``, or ``fuse_max_dist``
         for ``intersect``, which gates before it pairs) are counted together
-        from the pool that stage selects from, by :func:`_tally`; no pool of
+        from the values that threshold tests, by :func:`_tally`; no pool of
         steps is built.
         """
         n = len(self.recordings)
         counts = np.empty((len(points), n), dtype=np.int64)
-        last = _LAST_STAGE[alg]
-        families: Dict[Tuple, Dict[Tuple, List[int]]] = {}  # family key -> shared stages -> rows
-        for p, params in enumerate(points):
-            shared = params.to_dict()
-            del shared[last]
-            families.setdefault(_family_key(alg, params), {}).setdefault(tuple(shared.values()), []).append(p)
-        held: Dict = {}  # sum and diff build a family per smooth_fused on one combined signal
-        for key, tallies in families.items():
-            rows = [p for tally in tallies.values() for p in tally]
-            floor = min(points[p].min_peak_amp for p in rows)
-            gaps = dict.fromkeys(points[p].min_peak_gap for p in rows)
-            errors = self._prepare(key, floor, gaps, held)
+        for key, errors, groups in self._plan([(alg, params) for params in points]):
             if errors:
                 raise _fresh(next(iter(errors.values())))
             merges: Dict = {}
-            for tally in tallies.values():
-                thresholds = np.array([_last_threshold(alg, points[p]) for p in tally])
-                if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
-                    left, _, (_, dist) = self._paired(key, points[tally[0]])
-                    counts[tally] = _tally(left.group, -dist, -thresholds, n)  # dist <= fuse_max_dist
-                else:
-                    pool = self._pregate(alg, key, points[tally[0]], merges)
-                    counts[tally] = _tally(pool.group, pool.amps, thresholds, n)
+            for rows in groups:
+                thresholds = np.array([_last_threshold(alg, points[p]) for p in rows])
+                group, values, _ = self._last_stage(alg, key, points[rows[0]], merges)
+                counts[rows] = _tally(group, values, thresholds, n)
         return counts
-

@@ -14,6 +14,7 @@ from .core import (
     Recording,
     required_param_fields,
 )
+from .evaluate import _ground_truth
 from .pipeline import CorpusEngine
 
 
@@ -106,10 +107,7 @@ def rmse(pred: Sequence[int], label: Sequence[int]) -> float:
 
 
 def _labels(recs: Sequence[Recording]) -> np.ndarray:
-    for r in recs:
-        if r.ground_truth is None:
-            raise ValueError(f"recording {r.id} lacks ground truth")
-    return np.array([r.ground_truth.label_count for r in recs])
+    return np.array([_ground_truth(r).label_count for r in recs])
 
 
 def _best_row(counts: np.ndarray, labels: np.ndarray) -> int:

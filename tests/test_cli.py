@@ -300,17 +300,23 @@ class TestEvaluateAndReport:
         assert "manifest not found" in capsys.readouterr().err
 
 
-def _edit_row(path, lineno, edit):
-    """Replace line ``lineno`` of ``path`` by ``edit`` of it, or delete it
+def _edit_row(text, lineno, edit):
+    """``text`` with line ``lineno`` replaced by ``edit`` of it, or deleted
     when ``edit`` returns None."""
-    lines = path.read_text().split("\n")
+    lines = text.split("\n")
     new = edit(lines[lineno - 1])
     lines[lineno - 1 : lineno] = [] if new is None else [new]
-    path.write_text("\n".join(lines))
+    return "\n".join(lines)
 
 
-def _without_ground_truth(sidecar_text):
-    return json.dumps({**json.loads(sidecar_text), "ground_truth": None})
+def _in_row(lineno, edit):
+    """An edit of the whole text that edits line ``lineno``."""
+    return lambda text: _edit_row(text, lineno, edit)
+
+
+def _sidecar(**changes):
+    """An edit of a sidecar's text that sets ``changes``."""
+    return lambda text: json.dumps({**json.loads(text), **changes})
 
 
 # (case, file written, its content or an edit of a workspace file, command,
@@ -345,10 +351,22 @@ BAD_INPUTS = [
      "steps_union.csv:2:"),
     ("steps_time_not_number", "steps_union.csv", lambda row: row.split(",")[0] + ",x,1.0", "evaluate",
      "steps_union.csv:2:"),
-    ("sidecar_without_ground_truth", "corpus/slow_pace_001.json", _without_ground_truth, "evaluate",
+    ("sidecar_without_ground_truth", "corpus/slow_pace_001.json", _sidecar(ground_truth=None), "evaluate",
      "recording 'slow_pace_001' has no ground truth"),
-    ("sidecar_without_ground_truth_tune", "corpus/slow_pace_001.json", _without_ground_truth, "tune corpus",
+    ("sidecar_without_ground_truth_tune", "corpus/slow_pace_001.json", _sidecar(ground_truth=None), "tune corpus",
      "recording 'slow_pace_001' has no ground truth"),
+    ("corpus_off_grid_timestamp", "corpus/slow_pace_001_left.csv",
+     _in_row(2, lambda row: "-1.0," + row.split(",", 1)[1]), "evaluate",
+     "slow_pace_001_left.csv:2: timestamp is not t0 + i/rate"),
+    ("corpus_text_value", "corpus/slow_pace_001_left.csv", _in_row(3, lambda row: row.rsplit(",", 1)[0] + ",x"),
+     "evaluate", "slow_pace_001_left.csv:3: could not convert string to float: 'x'"),
+    ("sidecar_unknown_task", "corpus/slow_pace_001.json", _sidecar(task="hopping"), "evaluate",
+     "unknown task 'hopping'"),
+    ("sidecar_zero_rate", "corpus/slow_pace_001.json", _sidecar(left={"rate": 0, "t0": 0.0}), "evaluate",
+     "'left' needs a finite 'rate' > 0"),
+    ("manifest_missing_file", "corpus/manifest.json",
+     lambda text: text.replace('"slow_pace_001_left.csv"', '"missing_left.csv"'), "evaluate",
+     "missing left file 'missing_left.csv' for slow_pace_001"),
 ]
 
 
@@ -365,7 +383,7 @@ def test_bad_input_fails_cleanly(workspace, tmp_path, capsys, case, name, conten
         bad.write_text(content(bad.read_text()))
     elif callable(content):
         bad = det / name
-        _edit_row(bad, 2, content)
+        bad.write_text(_edit_row(bad.read_text(), 2, content))
     else:
         bad = tmp_path / name
         bad.write_text(content)

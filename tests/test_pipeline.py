@@ -174,24 +174,31 @@ def test_shared_engine_matches_fresh_engines(small_corpus, order):
 def test_low_level_grid_combines_each_window_once(small_corpus, alg, monkeypatch):
     """A grid of low-level families smooths each wrist once per window,
     fuses windows of 1, 3 and 11 samples from that one combined signal, and
-    counts what a fresh engine's steps give."""
+    counts what a fresh engine's steps give; in grid order and shuffled,
+    where the families of one window are no longer adjacent."""
     grid = ParamGrid(smooth_single=(0.02, 0.2), smooth_fused=(0.0, 0.02, 0.08),
                      min_peak_amp=(0.04, 0.2), min_peak_gap=(0.22, 0.4))
     points = grid.points(alg)
-    calls = Counter()
+    shuffled = list(points)
+    random.Random(5).shuffle(shuffled)
     real = pipeline.smoothed_magnitude
+    counts = []  # grid point -> its row of counts, per order
+    for order in (points, shuffled):
+        calls = Counter()
 
-    def counted(rec, side, window):
-        calls[(rec.id, window)] += 1
-        return real(rec, side, window)
+        def counted(rec, side, window):
+            calls[(rec.id, window)] += 1
+            return real(rec, side, window)
 
-    monkeypatch.setattr(pipeline, "smoothed_magnitude", counted)
-    counts = CorpusEngine(small_corpus).count_tensor(alg, points)
-    assert calls == {(rec.id, w): 2 for rec in small_corpus for w in grid.smooth_single}
-    monkeypatch.undo()
-    for p, params in enumerate(points):
+        monkeypatch.setattr(pipeline, "smoothed_magnitude", counted)
+        tensor = CorpusEngine(small_corpus).count_tensor(alg, order)
+        assert calls == {(rec.id, w): 2 for rec in small_corpus for w in grid.smooth_single}
+        monkeypatch.undo()
+        counts.append(dict(zip(order, tensor.tolist())))
+    assert counts[1] == counts[0]
+    for params, row in counts[0].items():
         fresh = CorpusEngine(small_corpus)
-        assert counts[p].tolist() == [len(fresh.steps(alg, rec.id, params)) for rec in small_corpus]
+        assert row == [len(fresh.steps(alg, rec.id, params)) for rec in small_corpus]
 
 
 def test_evaluation_smooths_each_wrist_once_per_window(small_corpus, monkeypatch):
@@ -223,6 +230,25 @@ def test_evaluation_smooths_each_wrist_once_per_window(small_corpus, monkeypatch
         fresh = CorpusEngine(small_corpus)
         counts = {row.recording_id: row.count for row in result.rows if row.algorithm is alg}
         assert counts == {rec.id: len(fresh.steps(alg, rec.id, p)) for rec in small_corpus}
+
+
+def test_detect_builds_a_shared_family_once(small_corpus, monkeypatch):
+    """Two detectors on one family at different amplitude thresholds build
+    it once, at the lower threshold, and detect what fresh engines do."""
+    left, right = AlgorithmId.NO_FUSION_LEFT, AlgorithmId.NO_FUSION_RIGHT
+    params = {left: replace(PARAM_POINTS[0], min_peak_amp=0.3),
+              right: replace(PARAM_POINTS[0], min_peak_amp=0.04)}
+    calls = []
+    real = pipeline.candidate_peaks
+    monkeypatch.setattr(pipeline, "candidate_peaks", lambda series: calls.append(1) or real(series))
+    engine = CorpusEngine(small_corpus)
+    engine.detect(params)
+    assert len(calls) == 2 * len(small_corpus)  # once per wrist and recording
+    monkeypatch.undo()
+    rids = [rec.id for rec in small_corpus]
+    for alg, p in params.items():
+        fresh = CorpusEngine(small_corpus)
+        assert [engine.steps(alg, rid, p) for rid in rids] == [fresh.steps(alg, rid, p) for rid in rids]
 
 
 def test_detect_keeps_the_steps_of_its_last_call(small_corpus, monkeypatch):

@@ -187,7 +187,7 @@ class TestGridSearch:
 
         recs, _ = tune_corpus
         bare = dataclasses.replace(recs[0], ground_truth=None, self_count=None)
-        with pytest.raises(ValueError, match="lacks ground truth"):
+        with pytest.raises(ValueError, match=f"recording {bare.id!r} has no ground truth"):
             grid_search([bare], AlgorithmId.NO_FUSION_LEFT, ParamGrid())
 
 
