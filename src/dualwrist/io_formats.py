@@ -1,12 +1,17 @@
 """On-disk corpus format: per-sensor CSV traces, JSON sidecars, session manifest.
 
 Signal files are one CSV per sensor per recording with columns ``t,ax,ay,az``
-(seconds, full decimal precision). Metadata and ground truth live in one JSON
-sidecar per recording. The manifest is written last and acts as the commit
-point for a session directory.
+(seconds, full decimal precision). Beside each CSV, a ``.npy`` file holds the
+same values as the float64 table the CSV parses to. Metadata, ground truth and
+the sha256 of each CSV and ``.npy`` live in one JSON sidecar per recording; a
+copy is read only while both digests match, so an edited CSV is always parsed.
+The manifest is written last and acts as the commit point for a session
+directory.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 from itertools import filterfalse
@@ -21,6 +26,7 @@ from .preprocess import NormalizationContext
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 _COLUMNS = ("t", "ax", "ay", "az")
+_DIGESTS = "sha256"  # sidecar key: file name -> sha256 of each wrist's CSV and .npy
 
 
 class FormatError(ValueError):
@@ -31,12 +37,25 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _write_series_csv(path: Path, series: TriaxialSeries) -> None:
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_series(out_dir: Path, stem: str, series: TriaxialSeries) -> Dict[str, str]:
+    """Write ``stem.csv`` and its binary copy ``stem.npy``; returns the sha256
+    of each by file name."""
     times = series.t0 + np.arange(len(series)) / series.rate
-    with open(path, "w", newline="") as f:
-        f.write("t,ax,ay,az\n")
-        for t, x, y, z in zip(times, series.x, series.y, series.z):
-            f.write(f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(z)}\n")
+    text = "t,ax,ay,az\n" + "".join(
+        f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(z)}\n" for t, x, y, z in zip(times, series.x, series.y, series.z)
+    )
+    npy = io.BytesIO()
+    # The C-ordered (n, 4) float64 table that parsing the CSV yields.
+    np.save(npy, np.column_stack([times, series.x, series.y, series.z]))
+    digests = {}
+    for name, data in ((f"{stem}.csv", text.encode()), (f"{stem}.npy", npy.getvalue())):
+        (out_dir / name).write_bytes(data)
+        digests[name] = _sha256(data)
+    return digests
 
 
 def _loadtxt(rows: List[str], usecols: Optional[List[int]] = None) -> np.ndarray:
@@ -77,7 +96,36 @@ def _check(path: Path, lines: List[str], bad: np.ndarray, message: str) -> None:
         raise FormatError(f"{path}:{_line_of(lines, int(bad.argmax()))}: {message}")
 
 
-def _read_series_csv(path: Path, rate: float, t0: float) -> TriaxialSeries:
+def _table_checks(table: np.ndarray, rate: float, t0: float, sidecar_path: Path):
+    """Each check of a ``t, ax, ay, az`` table against the sidecar's time base:
+    the mask of the rows that fail it, and its message."""
+    yield ~np.isfinite(table).all(axis=1), "values must be finite"
+    t = table[:, 0]
+    yield np.diff(t, prepend=-np.inf) <= 0, "non-monotonic timestamp"
+    off_grid = np.abs(t - (t0 + np.arange(len(t)) / rate)) > 0.5 / rate
+    yield off_grid, f"timestamp is not t0 + i/rate (t0={t0!r}, rate={rate!r} in {sidecar_path})"
+
+
+def _read_copy(csv_path: Path, digests: dict, rate: float, t0: float, sidecar_path: Path) -> Optional[np.ndarray]:
+    """The table in the ``.npy`` beside ``csv_path``, or None unless both files
+    match their digests and the table passes every check."""
+    npy_path = csv_path.with_suffix(".npy")
+    try:
+        csv, npy = csv_path.read_bytes(), npy_path.read_bytes()
+        if _sha256(csv) != digests.get(csv_path.name) or _sha256(npy) != digests.get(npy_path.name):
+            return None
+        table = np.lib.format.read_array(io.BytesIO(npy))
+    except (OSError, ValueError):
+        return None
+    if table.dtype != np.float64 or table.ndim != 2 or table.shape[1] != len(_COLUMNS) or not len(table):
+        return None
+    if any(bad.any() for bad, _ in _table_checks(table, rate, t0, sidecar_path)):
+        return None  # the parse names the line
+    return table
+
+
+def _parse_csv(path: Path, rate: float, t0: float, sidecar_path: Path) -> np.ndarray:
+    """The checked ``t, ax, ay, az`` table of a CSV; errors name the file line."""
     with open(path) as f:
         cols = f.readline().strip().split(",")
         lines = f.readlines()
@@ -94,13 +142,10 @@ def _read_series_csv(path: Path, rate: float, t0: float) -> TriaxialSeries:
     if data is None or data.shape[1] != len(cols):
         row, message = _row_error(rows, len(cols))
         raise FormatError(f"{path}:{_line_of(lines, row)}: {message}")
-    used = data[:, [cols.index(c) for c in _COLUMNS]]
-    _check(path, lines, ~np.isfinite(used).all(axis=1), "values must be finite")
-    t, x, y, z = used.T
-    _check(path, lines, np.diff(t, prepend=-np.inf) <= 0, "non-monotonic timestamp")
-    off_grid = np.abs(t - (t0 + np.arange(len(t)) / rate)) > 0.5 / rate
-    _check(path, lines, off_grid, f"timestamp is not t0 + i/rate (t0={t0!r}, rate={rate!r})")
-    return TriaxialSeries(rate=rate, x=x, y=y, z=z, t0=t0)
+    table = data[:, [cols.index(c) for c in _COLUMNS]]
+    for bad, message in _table_checks(table, rate, t0, sidecar_path):
+        _check(path, lines, bad, message)
+    return table
 
 
 def _gt_to_json(gt: Optional[GroundTruth]) -> Optional[dict]:
@@ -151,8 +196,8 @@ def save_recording(rec: Recording, out_dir) -> Dict[str, str]:
         "right": f"{rec.id}_right.csv",
         "sidecar": f"{rec.id}.json",
     }
-    _write_series_csv(out_dir / files["left"], rec.left)
-    _write_series_csv(out_dir / files["right"], rec.right)
+    digests = {**_write_series(out_dir, f"{rec.id}_left", rec.left),
+               **_write_series(out_dir, f"{rec.id}_right", rec.right)}
     sidecar = {
         "format_version": FORMAT_VERSION,
         "id": rec.id,
@@ -163,6 +208,7 @@ def save_recording(rec: Recording, out_dir) -> Dict[str, str]:
         "left": {"rate": rec.left.rate, "t0": rec.left.t0},
         "right": {"rate": rec.right.rate, "t0": rec.right.t0},
         "ground_truth": _gt_to_json(rec.ground_truth),
+        _DIGESTS: digests,
     }
     dump_json(out_dir / files["sidecar"], sidecar)
     return files
@@ -180,6 +226,18 @@ def _time_base(meta: dict, side: str, sidecar_path: Path) -> Tuple[float, float]
     return rate, t0
 
 
+def _read_series(sidecar_path: Path, meta: dict, side: str) -> TriaxialSeries:
+    """One wrist: its binary copy while fresh, otherwise its parsed CSV."""
+    rate, t0 = _time_base(meta, side, sidecar_path)
+    csv_path = sidecar_path.parent / f"{meta['id']}_{side}.csv"
+    digests = meta.get(_DIGESTS)
+    table = _read_copy(csv_path, digests, rate, t0, sidecar_path) if isinstance(digests, dict) else None
+    if table is None:
+        table = _parse_csv(csv_path, rate, t0, sidecar_path)
+    t, x, y, z = table.T
+    return TriaxialSeries(rate=rate, x=x, y=y, z=z, t0=t0)
+
+
 def load_recording(sidecar_path) -> Recording:
     """Load a recording from its JSON sidecar (CSV paths are relative to it)."""
     sidecar_path = Path(sidecar_path)
@@ -195,9 +253,8 @@ def load_recording(sidecar_path) -> Recording:
     except ValueError:
         raise FormatError(f"{sidecar_path}: unknown task {meta['task']!r}") from None
     rid = meta["id"]
-    base = sidecar_path.parent
-    left = _read_series_csv(base / f"{rid}_left.csv", *_time_base(meta, "left", sidecar_path))
-    right = _read_series_csv(base / f"{rid}_right.csv", *_time_base(meta, "right", sidecar_path))
+    left = _read_series(sidecar_path, meta, "left")
+    right = _read_series(sidecar_path, meta, "right")
     duration = meta["duration"]
     for side, series in (("left", left), ("right", right)):
         if not (isinstance(duration, (int, float)) and abs(series.span - duration) < 1 / series.rate):
@@ -274,5 +331,8 @@ def load_corpus(corpus_dir) -> List[Recording]:
 
 
 def save_corpus(recordings: List[Recording], out_dir) -> None:
+    # The manifest is the commit point: drop an old one before the first
+    # recording is rewritten, so a save that stops partway commits nothing.
+    (Path(out_dir) / MANIFEST_NAME).unlink(missing_ok=True)
     file_maps = {rec.id: save_recording(rec, out_dir) for rec in recordings}
     write_manifest(out_dir, recordings, file_maps)

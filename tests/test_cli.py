@@ -43,6 +43,11 @@ def workspace(tmp_path_factory):
     return root, cfg
 
 
+def _tree(root):
+    """Every file under ``root`` and its bytes, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def _strict_json(path):
     """Parse ``path``, rejecting the non-standard NaN and Infinity tokens."""
     def reject(token):
@@ -68,6 +73,13 @@ class TestSimulate:
         a = (root / "corpus" / "slow_pace_000_left.csv").read_bytes()
         b = (tmp_path / "c8" / "slow_pace_000_left.csv").read_bytes()
         assert a != b
+
+    def test_byte_identical_across_runs(self, workspace, tmp_path):
+        root, cfg = workspace
+        assert cli_main(["simulate", "--spec", str(cfg), "--out", str(tmp_path / "again")]) == 0
+        tree = _tree(root / "corpus")
+        assert sum(name.endswith(".npy") for name in tree) == 18
+        assert _tree(tmp_path / "again") == tree
 
 
 class TestTune:
@@ -171,6 +183,27 @@ class TestDetect:
         assert "slow_pace_000_left.csv:51:" in err
         assert not (out / "steps_union.csv").exists()
         assert not (out / "counts_union.csv").exists()
+
+
+def test_chain_reads_the_same_corpus_without_its_copies(workspace, tmp_path):
+    """tune, detect and evaluate write the same bytes whether the corpus is
+    read from its binary copies or parsed from its CSVs."""
+    root, cfg = workspace
+    corpus = tmp_path / "corpus"
+    shutil.copytree(root / "corpus", corpus)
+    for npy in corpus.glob("*.npy"):
+        npy.unlink()
+    parsed = tmp_path / "parsed"
+    assert cli_main(["tune", "--corpus", str(corpus), "--out", str(parsed / "tuned"),
+                     "--alg", "union", "--config", str(cfg)]) == 0
+    assert cli_main(["detect", "--alg", "union", "--params", str(parsed / "tuned" / "tuned_params.json"),
+                     "--corpus", str(corpus), "--out", str(parsed / "det")]) == 0
+    for sub in ("tuned", "det"):
+        assert _tree(parsed / sub) == _tree(root / sub)
+    for src, det, out in ((root / "corpus", root / "det", tmp_path / "copied_eval"),
+                          (corpus, parsed / "det", parsed / "eval")):
+        assert cli_main(["evaluate", "--corpus", str(src), "--detections", str(det), "--out", str(out)]) == 0
+    assert _tree(parsed / "eval") == _tree(tmp_path / "copied_eval")
 
 
 class TestEvaluateAndReport:
@@ -319,6 +352,13 @@ def _sidecar(**changes):
     return lambda text: json.dumps({**json.loads(text), **changes})
 
 
+def _shift_left_t0(text):
+    """A sidecar's text with the left wrist's ``t0`` one second later; the
+    digests of the files beside it still match."""
+    meta = json.loads(text)
+    return json.dumps({**meta, "left": {**meta["left"], "t0": meta["left"]["t0"] + 1.0}})
+
+
 # (case, file written, its content or an edit of a workspace file, command,
 #  text the message must hold besides the file name). An edit changes row 2
 #  of a detections file, or the whole text of a corpus/ file.
@@ -362,6 +402,8 @@ BAD_INPUTS = [
      "evaluate", "slow_pace_001_left.csv:3: could not convert string to float: 'x'"),
     ("sidecar_unknown_task", "corpus/slow_pace_001.json", _sidecar(task="hopping"), "evaluate",
      "unknown task 'hopping'"),
+    ("sidecar_t0_shift", "corpus/slow_pace_001.json", _shift_left_t0, "evaluate",
+     "slow_pace_001_left.csv:2: timestamp is not t0 + i/rate"),
     ("sidecar_zero_rate", "corpus/slow_pace_001.json", _sidecar(left={"rate": 0, "t0": 0.0}), "evaluate",
      "'left' needs a finite 'rate' > 0"),
     ("manifest_missing_file", "corpus/manifest.json",

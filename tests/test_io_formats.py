@@ -2,13 +2,14 @@
 import dataclasses
 import json
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualwrist import CorpusSpec, TriaxialSeries, WalkTask, simulate_corpus, simulate_recording
+from dualwrist import CorpusSpec, TriaxialSeries, WalkTask, io_formats, simulate_corpus, simulate_recording
 from dualwrist.io_formats import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -230,11 +231,15 @@ def test_round_trip_is_bit_exact(rec, values, rate, t0):
     original = dataclasses.replace(rec, left=left, right=right, duration=left.span)
     with tempfile.TemporaryDirectory() as tmp:
         save_recording(original, tmp)
-        loaded = load_recording(f"{tmp}/{rec.id}.json")
-    for a, b in ((original.left, loaded.left), (original.right, loaded.right)):
-        assert (a.rate, a.t0) == (b.rate, b.t0)
-        for axis in ("x", "y", "z"):
-            assert np.array_equal(getattr(a, axis).view(np.int64), getattr(b, axis).view(np.int64))
+        from_copy = load_recording(f"{tmp}/{rec.id}.json")
+        for npy in Path(tmp).glob("*.npy"):
+            npy.unlink()
+        parsed = load_recording(f"{tmp}/{rec.id}.json")
+    for loaded in (from_copy, parsed):
+        for a, b in ((original.left, loaded.left), (original.right, loaded.right)):
+            assert (a.rate, a.t0) == (b.rate, b.t0)
+            for axis in ("x", "y", "z"):
+                assert np.array_equal(getattr(a, axis).view(np.int64), getattr(b, axis).view(np.int64))
 
 
 
@@ -255,6 +260,26 @@ class TestCorpusRoundTrip:
     def test_manifest_is_commit_point(self, corpus, tmp_path):
         save_corpus(corpus, tmp_path)
         (tmp_path / MANIFEST_NAME).unlink()
+        with pytest.raises(FormatError, match="manifest not found"):
+            load_corpus(tmp_path)
+
+    def test_save_over_a_corpus_uncommits_it_first(self, corpus, tmp_path, monkeypatch):
+        save_corpus(corpus, tmp_path)
+        reseeded = simulate_corpus(CorpusSpec(task_counts={WalkTask.SLOW_PACE: 2, WalkTask.CANE_RIGHT_HAND: 1},
+                                              seed=9))
+        assert sorted(r.id for r in reseeded) == sorted(r.id for r in corpus)
+        saved = []
+
+        def fail_on_second(rec, out_dir):
+            if saved:
+                raise OSError("disk full")
+            saved.append(save_recording(rec, out_dir))
+            return saved[-1]
+
+        monkeypatch.setattr(io_formats, "save_recording", fail_on_second)
+        with pytest.raises(OSError, match="disk full"):
+            save_corpus(reseeded, tmp_path)
+        # One new recording beside two old ones: nothing may load as a corpus.
         with pytest.raises(FormatError, match="manifest not found"):
             load_corpus(tmp_path)
 
@@ -280,6 +305,83 @@ class TestCorpusRoundTrip:
             entry = manifest["recordings"][rec.id]
             assert entry["label_count"] == rec.ground_truth.label_count
             assert entry["task"] == rec.task.value
+
+
+def _count_parses(monkeypatch):
+    """A list that grows by one for each CSV ``io_formats`` parses."""
+    parses = []
+    parse = io_formats._loadtxt
+
+    def counted(rows, usecols=None):
+        parses.append(len(rows))
+        return parse(rows, usecols)
+
+    monkeypatch.setattr(io_formats, "_loadtxt", counted)
+    return parses
+
+
+def _change_npy_value(tmp_path, rid):
+    npy = tmp_path / f"{rid}_left.npy"
+    table = np.load(npy)
+    table[5, 1] += 1.0
+    np.save(npy, table)
+
+
+def _drop_digests(tmp_path, rid):
+    sidecar = tmp_path / f"{rid}.json"
+    meta = json.loads(sidecar.read_text())
+    del meta["sha256"]
+    sidecar.write_text(json.dumps(meta))
+
+
+class TestBinaryCopy:
+    def test_copy_loads_the_parsed_values_bit_for_bit(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        from_copy = load_corpus(tmp_path)
+        npys = sorted(tmp_path.glob("*.npy"))
+        assert len(npys) == 2 * len(corpus)
+        for npy in npys:
+            npy.unlink()
+        parsed = load_corpus(tmp_path)
+        for a, b in zip(from_copy, parsed, strict=True):
+            assert a == b
+            for sa, sb in ((a.left, b.left), (a.right, b.right)):
+                assert (sa.rate, sa.t0) == (sb.rate, sb.t0)
+                for axis in ("x", "y", "z"):
+                    assert getattr(sa, axis).tobytes() == getattr(sb, axis).tobytes()
+
+    def test_fresh_corpus_is_not_parsed(self, corpus, tmp_path, monkeypatch):
+        save_corpus(corpus, tmp_path)
+        parses = _count_parses(monkeypatch)
+        load_corpus(tmp_path)
+        assert len(parses) == 0
+        (tmp_path / f"{corpus[0].id}_right.npy").unlink()
+        load_corpus(tmp_path)
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("edit, csvs_parsed", [
+        (_change_npy_value, 1),
+        (lambda tmp_path, rid: (tmp_path / f"{rid}_left.npy").unlink(), 1),
+        (_drop_digests, 2),
+    ], ids=["npy_value_changed", "npy_deleted", "older_sidecar_without_digests"])
+    def test_stale_or_missing_copy_loads_the_csv(self, rec, tmp_path, monkeypatch, edit, csvs_parsed):
+        save_recording(rec, tmp_path)
+        edit(tmp_path, rec.id)
+        parses = _count_parses(monkeypatch)
+        assert load_recording(tmp_path / f"{rec.id}.json") == rec
+        assert len(parses) == csvs_parsed
+
+    def test_edited_csv_is_read_over_its_copy(self, rec, tmp_path):
+        save_recording(rec, tmp_path)
+        csv = tmp_path / f"{rec.id}_left.csv"
+        lines = csv.read_text().splitlines()
+        fields = lines[10].split(",")
+        fields[1] = "1.5"
+        lines[10] = ",".join(fields)
+        csv.write_text("\n".join(lines) + "\n")
+        loaded = load_recording(tmp_path / f"{rec.id}.json")
+        assert loaded.left.x[9] == 1.5 != rec.left.x[9]
+        assert loaded.right == rec.right
 
 
 class TestDumpJson:
