@@ -71,7 +71,6 @@ class GaitModelParams:
             "swing_amp_right",
             "impact_amp_left",
             "impact_amp_right",
-            "impact_width",
             "noise_std",
             "amp_jitter",
             "rebound_lag",
@@ -80,6 +79,8 @@ class GaitModelParams:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if not self.impact_width > 0:
+            raise ValueError("impact_width must be > 0")
         if self.lead_in < 0 or self.lead_out < 0:
             raise ValueError("lead_in and lead_out must be >= 0")
         if not 0.0 <= self.step_time_asymmetry < 0.5:
@@ -138,16 +139,24 @@ def _step_schedule(p: GaitModelParams) -> tuple:
     return anchors, sides
 
 
-def _add_bumps(signal: np.ndarray, t: np.ndarray, centers, heights, width: float, rate: float):
+def _add_bumps(signal: np.ndarray, t: np.ndarray, centers: np.ndarray, heights: np.ndarray,
+               width: float, rate: float):
+    """Add ``h * exp(-0.5 * ((t - c) / width) ** 2)`` to ``signal`` for each
+    center ``c`` and height ``h``, over the samples within ``half`` of the
+    center's nearest sample (rounded half to even) that lie inside ``signal``.
+
+    One scatter over a (bumps, samples) grid, and exact against adding the
+    bumps one slice at a time: each kept element is the same elementwise
+    expression on the same float64 values, and ``np.add.at`` is unbuffered
+    and applies its elements in order, bump by bump, so overlapping bumps (an
+    impact and its rebound) sum into ``signal`` in the same sequence. Grid
+    cells outside ``signal`` are evaluated at a clipped sample and dropped.
+    """
     half = int(np.ceil(4 * width * rate)) + 1
-    n = len(signal)
-    for c, h in zip(centers, heights):
-        i = int(round(c * rate))
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        if lo >= hi:
-            continue
-        signal[lo:hi] += h * np.exp(-0.5 * ((t[lo:hi] - c) / width) ** 2)
+    grid = np.rint(centers * rate).astype(np.intp)[:, None] + np.arange(-half, half + 1)
+    values = heights[:, None] * np.exp(-0.5 * ((t.take(grid, mode="clip") - centers[:, None]) / width) ** 2)
+    keep = (grid >= 0) & (grid < len(signal))
+    np.add.at(signal, grid[keep], values[keep])
 
 
 def simulate_recording(

@@ -11,7 +11,9 @@ the digests and compares them with that file. The digests cover:
   values per grid field;
 - the cross-validation reports of all six detectors and the
   ``evaluate_corpus`` rows, on 16 recordings with the same grid;
-- the steps of one 10-minute recording at ``benchmark/fixed_params.json``.
+- the steps of one 10-minute recording at ``benchmark/fixed_params.json``;
+- the simulated ``x``/``y``/``z`` of both wrists of the 16 recordings and of
+  the 10-minute recording, so a drift in the simulator shows directly.
 
 Regenerate only when an output is meant to change, and record which digests
 moved and why. The numpy version is stored with the digests, because a
@@ -57,6 +59,12 @@ def _json_sha(payload) -> str:
     return _sha(json.dumps(payload, sort_keys=True).encode())
 
 
+def _signals_sha(recs) -> str:
+    """Digest of every simulated sample: each recording's left then right
+    ``x``, ``y`` and ``z``, in corpus order."""
+    return _sha(b"".join(a.tobytes() for r in recs for s in (r.left, r.right) for a in (s.x, s.y, s.z)))
+
+
 def cli_digests(work: Path) -> dict:
     """Digest of every file the CLI chain writes, by path under ``work``."""
     cfg = work / "config.json"
@@ -81,7 +89,8 @@ def cli_digests(work: Path) -> dict:
 
 
 def api_digests() -> dict:
-    """Digests of six cross-validation reports and of the evaluation rows."""
+    """Digests of the simulated corpus, six cross-validation reports and the
+    evaluation rows."""
     recs = dw.simulate_corpus(dw.CorpusSpec(task_counts={t: API_TASKS for t in dw.WalkTask}, seed=SEED))
     engine = dw.CorpusEngine(recs)
     grid = dw.ParamGrid(**GRID)
@@ -91,18 +100,19 @@ def api_digests() -> dict:
     rows = [[r.recording_id, r.task.value, r.algorithm.value, r.count, r.label, r.pct_error, r.error]
             for r in result.rows]
     return {
+        "simulate.corpus": _signals_sha(recs),
         "cross_validate": _json_sha({a.value: r.to_dict() for a, r in reports.items()}),
         "evaluate_corpus.rows": _json_sha(rows),
     }
 
 
 def long_recording_digests() -> dict:
-    """Digest of each detector's steps in one 10-minute recording."""
+    """Digests of one 10-minute recording's signals and each detector's steps."""
     rec = dw.simulate_recording(dw.WalkTask.COMFORTABLE_PACE, seed=SEED, recording_id="long",
                                 overrides={"duration": LONG_DURATION, "lead_in": 5.0, "lead_out": 5.0})
     fixed = json.loads(FIXED_PARAMS.read_text())
     engine = dw.CorpusEngine([rec])
-    out = {}
+    out = {"simulate.long": _signals_sha([rec])}
     for alg in dw.AlgorithmId:
         steps = engine.steps(alg, rec.id, dw.DetectorParams.from_dict(fixed[alg.value]))
         out[f"long.steps_{alg.value}"] = _sha(steps.times.tobytes() + steps.amplitudes.tobytes())

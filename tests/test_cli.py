@@ -93,26 +93,6 @@ class TestTune:
         assert set(tuned) == {"union"}
         assert tuned["union"] == report["mean_params"]
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda text: text[:-10],
-        lambda text: json.dumps({**json.loads(text), "recordings": ["slow_pace_000"]}),
-        lambda text: text.replace('"files"', '"filez"', 1),
-    ], ids=["invalid_json", "recordings_not_object", "entry_without_files"])
-    def test_malformed_manifest_fails_cleanly(self, workspace, tmp_path, capsys, corrupt):
-        root, cfg = workspace
-        corpus = tmp_path / "corpus"
-        shutil.copytree(root / "corpus", corpus)
-        manifest = corpus / "manifest.json"
-        manifest.write_text(corrupt(manifest.read_text()))
-        code = cli_main([
-            "tune", "--corpus", str(corpus), "--out", str(tmp_path / "t"),
-            "--alg", "left", "--config", str(cfg),
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "manifest.json: " in err
-        assert "Traceback" not in err
-
 
 class TestDetect:
     def test_outputs(self, workspace):
@@ -276,8 +256,7 @@ class TestEvaluateAndReport:
         err = capsys.readouterr().err
         assert "counts_union.csv:2: recording 'no_arm_swing_000' is not in the corpus" in err
 
-    @pytest.mark.parametrize("side, key, value", [("left", "rate", None), ("right", "t0", None),
-                                                  ("left", "rate", 0)])
+    @pytest.mark.parametrize("side, key, value", [("left", "rate", None), ("right", "t0", None)])
     def test_invalid_sidecar_time_base_fails_cleanly(self, workspace, tmp_path, capsys,
                                                      side, key, value):
         root, _ = workspace
@@ -406,6 +385,12 @@ BAD_INPUTS = [
      "slow_pace_001_left.csv:2: timestamp is not t0 + i/rate"),
     ("sidecar_zero_rate", "corpus/slow_pace_001.json", _sidecar(left={"rate": 0, "t0": 0.0}), "evaluate",
      "'left' needs a finite 'rate' > 0"),
+    ("manifest_invalid_json", "corpus/manifest.json", lambda text: text[:-10], "tune corpus", "manifest.json: "),
+    ("manifest_recordings_not_object", "corpus/manifest.json",
+     lambda text: json.dumps({**json.loads(text), "recordings": ["slow_pace_000"]}), "tune corpus",
+     "manifest.json: "),
+    ("manifest_entry_without_files", "corpus/manifest.json", lambda text: text.replace('"files"', '"filez"', 1),
+     "tune corpus", "manifest.json: "),
     ("manifest_missing_file", "corpus/manifest.json",
      lambda text: text.replace('"slow_pace_001_left.csv"', '"missing_left.csv"'), "evaluate",
      "missing left file 'missing_left.csv' for slow_pace_001"),

@@ -1,5 +1,6 @@
-"""Outputs must not move: CLI files, CV reports, evaluation rows and long-trace
-steps hash to the digests committed in ``tests/golden/digests.json``.
+"""Outputs must not move: CLI files, CV reports, evaluation rows, long-trace
+steps and simulated signals hash to the digests committed in
+``tests/golden/digests.json``.
 
 A change that is meant to move an output regenerates the file with
 ``PYTHONPATH=src python tests/golden_outputs.py`` and says which digests

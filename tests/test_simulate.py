@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualwrist import (
     CorpusSpec,
@@ -12,7 +14,68 @@ from dualwrist import (
     simulate_recording,
     task_profile,
 )
+from dualwrist import simulate
 from dualwrist.simulate import COMFORTABLE_CADENCE, DEFAULT_TASK_COUNTS
+
+
+def loop_add_bumps(signal, t, centers, heights, width, rate):
+    """Reference for ``simulate._add_bumps``: one slice per bump, in order."""
+    half = int(np.ceil(4 * width * rate)) + 1
+    n = len(signal)
+    for c, h in zip(centers, heights):
+        i = int(round(c * rate))
+        lo = max(0, i - half)
+        hi = min(n, i + half + 1)
+        if lo >= hi:
+            continue
+        signal[lo:hi] += h * np.exp(-0.5 * ((t[lo:hi] - c) / width) ** 2)
+
+
+@st.composite
+def bump_cases(draw):
+    """(signal, centers, heights, width, rate): a random baseline and bumps
+    that overlap, repeat, sit on or halfway between samples, and spill past
+    either end of the signal or miss it altogether."""
+    rate = draw(st.floats(25.0, 256.0))
+    width = draw(st.floats(0.01, 0.1))
+    n = draw(st.integers(1, 300))
+    span, reach = n / rate, 4 * width + 1.0
+    point = st.one_of(
+        st.floats(-reach, span + reach),
+        st.integers(-n, 2 * n).map(lambda k: k / rate),
+        st.integers(-n, 2 * n).map(lambda k: (k + 0.5) / rate),
+    )
+    centers = draw(st.lists(point, max_size=40))
+    if centers:
+        centers = draw(st.permutations(centers + draw(st.lists(st.sampled_from(centers), max_size=5))))
+    heights = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(centers), max_size=len(centers)))
+    signal = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(1.0, 0.5, n)
+    return signal, np.array(centers, dtype=float), np.array(heights, dtype=float), width, rate
+
+
+class TestAddBumps:
+    @given(bump_cases())
+    @example((np.ones(64), np.array([]), np.array([]), 0.05, 128.0))
+    @example((np.ones(64), np.array([-1.0, 0.1, 0.1, 0.3, 0.5, 2.0]),
+              np.array([0.8, 0.5, 0.5, 0.3, 0.2, 0.9]), 0.05, 128.0))
+    @settings(max_examples=300)
+    def test_scatter_matches_the_loop_bit_for_bit(self, case):
+        signal, centers, heights, width, rate = case
+        t = np.arange(len(signal)) / rate
+        want, got = signal.copy(), signal.copy()
+        loop_add_bumps(want, t, centers, heights, width, rate)
+        simulate._add_bumps(got, t, centers, heights, width, rate)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("task", [WalkTask.COMFORTABLE_PACE, WalkTask.CANE_RIGHT_HAND])
+    def test_recording_matches_the_loop_bit_for_bit(self, monkeypatch, task):
+        overrides = {"duration": 120.0, "lead_in": 3.0, "lead_out": 3.0}
+        got = simulate_recording(task, overrides=overrides, seed=11)
+        monkeypatch.setattr(simulate, "_add_bumps", loop_add_bumps)
+        want = simulate_recording(task, overrides=overrides, seed=11)
+        for g, w in ((got.left, want.left), (got.right, want.right)):
+            for axis in "xyz":
+                assert getattr(g, axis).tobytes() == getattr(w, axis).tobytes()
 
 
 class TestTaskProfiles:
@@ -49,6 +112,8 @@ class TestTaskProfiles:
             GaitModelParams(step_time_asymmetry=0.5)
         with pytest.raises(ValueError):
             GaitModelParams(lead_in=-1.0)
+        with pytest.raises(ValueError, match="impact_width must be > 0"):
+            simulate_recording(WalkTask.COMFORTABLE_PACE, overrides={"impact_width": 0.0, "duration": 20.0})
 
 
 class TestSimulateRecording:
