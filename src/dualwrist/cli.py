@@ -171,7 +171,11 @@ def _read_detections(det_dir: Path, corpus_ids: Sequence[str]):
                 yield lineno, fields[0], value
 
     for counts_path in sorted(det_dir.glob("counts_*.csv")):
-        alg = AlgorithmId(counts_path.stem.replace("counts_", ""))
+        try:
+            alg = AlgorithmId(counts_path.stem.replace("counts_", ""))
+        except ValueError:
+            raise FormatError(f"{counts_path}: not a detector's counts; the detectors are "
+                              f"{', '.join(a.value for a in AlgorithmId)}") from None
         counts: Dict[str, int] = {}
         for lineno, rid, count in rows(counts_path, 2, int, "an integer count"):
             if rid in counts:

@@ -338,6 +338,16 @@ def _shift_left_t0(text):
     return json.dumps({**meta, "left": {**meta["left"], "t0": meta["left"]["t0"] + 1.0}})
 
 
+def _manifest_file(rid, role, name):
+    """An edit of the manifest's text that sets recording ``rid``'s ``role``
+    file to ``name``."""
+    def edit(text):
+        manifest = json.loads(text)
+        manifest["recordings"][rid]["files"][role] = name
+        return json.dumps(manifest)
+    return edit
+
+
 # (case, file written, its content or an edit of a workspace file, command,
 #  text the message must hold besides the file name). An edit changes row 2
 #  of a detections file, or the whole text of a corpus/ file.
@@ -394,6 +404,11 @@ BAD_INPUTS = [
     ("manifest_missing_file", "corpus/manifest.json",
      lambda text: text.replace('"slow_pace_001_left.csv"', '"missing_left.csv"'), "evaluate",
      "missing left file 'missing_left.csv' for slow_pace_001"),
+    ("manifest_file_name_not_string", "corpus/manifest.json", _manifest_file("slow_pace_001", "sidecar", 5),
+     "evaluate", "manifest.json: "),
+    ("manifest_file_name_null", "corpus/manifest.json", _manifest_file("slow_pace_001", "left", None),
+     "tune corpus", "manifest.json: "),
+    ("counts_of_no_detector", "det/counts_foo.csv", "recording_id,count\n", "evaluate", "counts_foo.csv"),
 ]
 
 

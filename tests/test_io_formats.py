@@ -1,5 +1,7 @@
 """On-disk corpus format: CSV traces, JSON sidecars, manifests."""
 import dataclasses
+import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -242,6 +244,56 @@ def test_round_trip_is_bit_exact(rec, values, rate, t0):
                 assert np.array_equal(getattr(a, axis).view(np.int64), getattr(b, axis).view(np.int64))
 
 
+def _table_checks_by_row(table, rate, t0, sidecar_path):
+    """``io_formats._table_checks`` as it first read, with one ``all``
+    reduce per row for the finite mask: the oracle for the column-wise AND."""
+    yield ~np.isfinite(table).all(axis=1), "values must be finite"
+    t = table[:, 0]
+    yield np.diff(t, prepend=-np.inf) <= 0, "non-monotonic timestamp"
+    off_grid = np.abs(t - (t0 + np.arange(len(t)) / rate)) > 0.5 / rate
+    yield off_grid, f"timestamp is not t0 + i/rate (t0={t0!r}, rate={rate!r} in {sidecar_path})"
+
+
+@st.composite
+def faulty_tables(draw):
+    """An on-grid ``t, ax, ay, az`` table with up to five faults: a
+    non-finite cell, a repeated or decreasing timestamp, or a timestamp half
+    a period off the grid or one ulp to either side of that."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    rate = draw(st.floats(min_value=1.0, max_value=1000.0))
+    t0 = draw(st.floats(min_value=-1e3, max_value=1e3))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    grid = t0 + np.arange(n) / rate
+    table = np.column_stack([grid, np.random.default_rng(seed).normal(size=(n, 3))])
+    rows = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        kind, row = draw(st.sampled_from(["non_finite", "repeat", "decrease", "off_grid"])), draw(rows)
+        if kind == "non_finite":
+            col = draw(st.integers(min_value=0, max_value=3))
+            table[row, col] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        elif kind == "repeat" and row:
+            table[row, 0] = table[row - 1, 0]
+        elif kind == "decrease" and row:
+            step = draw(st.sampled_from([0.0, 1.0 / rate]))
+            table[row, 0] = np.nextafter(table[row - 1, 0] - step, -np.inf)
+        elif kind == "off_grid":
+            edge = grid[row] + draw(st.sampled_from([-0.5, 0.5])) / rate
+            table[row, 0] = np.nextafter(edge, draw(st.sampled_from([-np.inf, edge, np.inf])))
+    return table, rate, t0
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=faulty_tables())
+def test_table_checks_match_the_per_row_checks(case):
+    table, rate, t0 = case
+    sidecar = Path("rec.json")
+    with np.errstate(invalid="ignore"):  # inf - inf in the timestamp differences
+        got = list(io_formats._table_checks(table, rate, t0, sidecar))
+        want = list(_table_checks_by_row(table, rate, t0, sidecar))
+    assert [message for _, message in got] == [message for _, message in want]
+    for (bad, _), (expected, _) in zip(got, want, strict=True):
+        assert np.array_equal(bad, expected)
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -334,6 +386,23 @@ def _drop_digests(tmp_path, rid):
     sidecar.write_text(json.dumps(meta))
 
 
+def _npy_body(array, version=None):
+    body = io.BytesIO()
+    np.lib.format.write_array(body, array, version=version)
+    return body.getvalue()
+
+
+def _rewrite_copy(tmp_path, rid, body):
+    """Write ``body`` as the left wrist's ``.npy`` and its sha256 into the
+    sidecar, so the copy is fresh and only its contents decide."""
+    npy = tmp_path / f"{rid}_left.npy"
+    npy.write_bytes(body)
+    sidecar = tmp_path / f"{rid}.json"
+    meta = json.loads(sidecar.read_text())
+    meta["sha256"][npy.name] = hashlib.sha256(body).hexdigest()
+    sidecar.write_text(json.dumps(meta))
+
+
 class TestBinaryCopy:
     def test_copy_loads_the_parsed_values_bit_for_bit(self, corpus, tmp_path):
         save_corpus(corpus, tmp_path)
@@ -370,6 +439,37 @@ class TestBinaryCopy:
         parses = _count_parses(monkeypatch)
         assert load_recording(tmp_path / f"{rec.id}.json") == rec
         assert len(parses) == csvs_parsed
+
+    @pytest.mark.parametrize("body", [
+        lambda table, npy: _npy_body(np.asfortranarray(table)),
+        lambda table, npy: _npy_body(table.astype(np.float32)),
+        lambda table, npy: _npy_body(table[:, :3]),
+        lambda table, npy: _npy_body(table.ravel()),
+        lambda table, npy: npy[:-32],
+        lambda table, npy: npy + bytes(8),
+    ], ids=["fortran_order", "float32", "three_columns", "flat", "one_row_short", "trailing_bytes"])
+    def test_other_npy_bodies_load_the_csv(self, rec, tmp_path, monkeypatch, body):
+        save_recording(rec, tmp_path)
+        npy = tmp_path / f"{rec.id}_left.npy"
+        _rewrite_copy(tmp_path, rec.id, body(np.load(npy), npy.read_bytes()))
+        parses = _count_parses(monkeypatch)
+        assert load_recording(tmp_path / f"{rec.id}.json") == rec
+        assert len(parses) == 1
+
+    def test_format_2_copy_is_not_parsed(self, rec, tmp_path, monkeypatch):
+        save_recording(rec, tmp_path)
+        table = np.load(tmp_path / f"{rec.id}_left.npy")
+        _rewrite_copy(tmp_path, rec.id, _npy_body(table, version=(2, 0)))
+        parses = _count_parses(monkeypatch)
+        assert load_recording(tmp_path / f"{rec.id}.json") == rec
+        assert len(parses) == 0
+
+    def test_loaded_axes_own_their_memory(self, rec, tmp_path):
+        save_recording(rec, tmp_path)
+        loaded = load_recording(tmp_path / f"{rec.id}.json")
+        for series in (loaded.left, loaded.right):
+            for axis in ("x", "y", "z"):
+                assert getattr(series, axis).base is None
 
     def test_edited_csv_is_read_over_its_copy(self, rec, tmp_path):
         save_recording(rec, tmp_path)
