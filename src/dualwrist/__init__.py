@@ -35,7 +35,7 @@ from .simulate import (
     simulate_recording,
     task_profile,
 )
-from .tuning import CVReport, ParamGrid, cross_validate, grid_search, make_folds, rmse
+from .tuning import CVReport, ParamGrid, cross_validate, cross_validate_study, grid_search, make_folds, rmse
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -23,7 +22,7 @@ from .io_formats import (
 )
 from .pipeline import CorpusEngine
 from .simulate import simulate_corpus
-from .tuning import cross_validate
+from .tuning import cross_validate_study
 
 ALL_ALGS = list(AlgorithmId)
 
@@ -66,15 +65,14 @@ def cmd_tune(args) -> int:
     cfg = _load_session_config(args.config)
     grid = grid_from_config(cfg)
     dataset = _load_labelled_corpus(args.corpus)
-    engine = CorpusEngine(dataset)
     algorithms = _parse_algs(args.alg)
     folds = args.folds if args.folds is not None else cfg.get("cv", {}).get("folds", 5)
     seed = args.seed if args.seed is not None else cfg.get("cv", {}).get("seed", 0)
+    reports = cross_validate_study(dataset, algorithms, grid, k=folds, seed=seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tuned: Dict[str, dict] = {}
-    for alg in algorithms:
-        report = cross_validate(dataset, alg, grid, k=folds, seed=seed, engine=engine)
+    for alg, report in reports.items():
         dump_json(out / f"cv_{alg.value}.json", report.to_dict())
         tuned[alg.value] = report.mean_params.to_dict()
         print(f"{alg.value}: mean test RMSE {report.mean_test_rmse:.3f}")
@@ -250,25 +248,33 @@ def cmd_report(args) -> int:
     summary_path = Path(args.evaluation) / "summary.json"
     if not summary_path.exists():
         raise FormatError(f"{summary_path} not found; run `evaluate` first")
-    with open(summary_path) as f:
-        summary = json.load(f)
+    summary = _read_json(summary_path)
+    try:
+        lines = _report_lines(summary)
+    except KeyError as exc:
+        raise FormatError(f"{summary_path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{summary_path}: malformed summary: {exc}") from None
+    print("\n".join(lines))
+    return 0
+
+
+def _report_lines(summary: dict) -> List[str]:
+    """The per-task table and overall scores of an ``evaluate`` summary."""
     algs = [a.value for a in ALL_ALGS if a.value in summary["per_algorithm"]]
-    print("Mean percent error per task (signed):")
-    header = f"{'task':<18}" + "".join(f"{a:>11}" for a in algs)
-    print(header)
+    lines = ["Mean percent error per task (signed):", f"{'task':<18}" + "".join(f"{a:>11}" for a in algs)]
     for task in WalkTask:
         cells = []
         for a in algs:
             s = summary["per_task"].get(f"{task.value}/{a}")
             cells.append(f"{s['mean']:>10.2f}%" if s else f"{'-':>11}")
-        print(f"{task.value:<18}" + "".join(cells))
-    print()
-    print("Overall |percent error| mean and Pearson r:")
+        lines.append(f"{task.value:<18}" + "".join(cells))
+    lines += ["", "Overall |percent error| mean and Pearson r:"]
     for a in algs:
         s = summary["per_algorithm"][a]
         r = "n/a" if s["pearson_r"] is None else f"{s['pearson_r']:.4f}"
-        print(f"  {a:<10} mean|err| {s['mean_abs']:6.2f}%   r {r}")
-    return 0
+        lines.append(f"  {a:<10} mean|err| {s['mean_abs']:6.2f}%   r {r}")
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:

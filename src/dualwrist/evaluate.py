@@ -66,11 +66,28 @@ def cadence_outlier_filter(dataset: Sequence[Recording], frac: float = 0.05) -> 
 
 
 @dataclass(frozen=True)
-class PhaseOffsets:
-    """Signed offsets of detected steps to the nearest gait events (pooled sides)."""
+class PhaseReport:
+    """Signed offsets of detected steps to the nearest gait events (pooled
+    sides), for one recording or pooled over a corpus."""
 
     dt_heel: np.ndarray
     dt_toe: np.ndarray
+
+    @property
+    def heel_mean(self) -> float:
+        return float(np.mean(self.dt_heel))
+
+    @property
+    def heel_std(self) -> float:
+        return float(np.std(self.dt_heel))
+
+    @property
+    def toe_mean(self) -> float:
+        return float(np.mean(self.dt_toe))
+
+    @property
+    def toe_std(self) -> float:
+        return float(np.std(self.dt_toe))
 
 
 def _nearest_offsets(times: np.ndarray, events: np.ndarray) -> np.ndarray:
@@ -82,13 +99,13 @@ def _nearest_offsets(times: np.ndarray, events: np.ndarray) -> np.ndarray:
     return times - np.where(use_next, nxt, prev)
 
 
-def phase_offsets(steps: PeakSet, gt: GroundTruth) -> PhaseOffsets:
+def phase_offsets(steps: PeakSet, gt: GroundTruth) -> PhaseReport:
     """Offset of every detected step to its nearest heel strike and toe-off."""
     toes = gt.toe_offs()
     heels = gt.heel_strikes()
     if len(toes) == 0 or len(heels) == 0:
         raise ValueError("ground truth events must be non-empty")
-    return PhaseOffsets(
+    return PhaseReport(
         dt_heel=_nearest_offsets(steps.times, heels),
         dt_toe=_nearest_offsets(steps.times, toes),
     )
@@ -138,30 +155,6 @@ class RecordingResult:
     label: int
     pct_error: Optional[float]
     error: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class PhaseReport:
-    """Aggregate phase-offset statistics for one algorithm over a corpus."""
-
-    dt_heel: np.ndarray
-    dt_toe: np.ndarray
-
-    @property
-    def heel_mean(self) -> float:
-        return float(np.mean(self.dt_heel))
-
-    @property
-    def heel_std(self) -> float:
-        return float(np.std(self.dt_heel))
-
-    @property
-    def toe_mean(self) -> float:
-        return float(np.mean(self.dt_toe))
-
-    @property
-    def toe_std(self) -> float:
-        return float(np.std(self.dt_toe))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ peaks, gap suppression, and, for high-level fusion, intersect or union of the
 two wrists' steps. Normalization contexts and candidates are computed once per
 signal family over the whole corpus, and suppression and fusion run over the
 peaks of all recordings at once. ``detect``, ``count_tensor`` and
-``context_for`` run one plan over their requests; ``detect`` applies the
-threshold of the one last stage, ``count_tensor`` counts every threshold.
+``context_for`` run one plan over their requests, which ends in each group's
+last stage: ``detect`` applies the threshold of its one request,
+``count_tensor`` counts every threshold.
 
 An engine runs each expensive stage once. The plan builds each family once,
 one ``smooth_single`` window at a time, so both wrists are smoothed once per
@@ -43,6 +44,9 @@ _LAST_STAGE = dict.fromkeys(AlgorithmId, "min_peak_amp")
 _LAST_STAGE[AlgorithmId.HIGH_LEVEL_INTERSECT] = "fuse_max_dist"
 
 Errors = Dict[int, Exception]  # recording index -> why it has no steps
+# A group's last stage: each candidate's recording, the value its threshold
+# tests, each request's threshold, and the steps of a keep mask.
+Stage = Tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[np.ndarray], Pool]]
 
 
 def _family_key(alg: AlgorithmId, params: DetectorParams) -> Tuple:
@@ -50,16 +54,6 @@ def _family_key(alg: AlgorithmId, params: DetectorParams) -> Tuple:
     if alg in (AlgorithmId.LOW_LEVEL_SUM, AlgorithmId.LOW_LEVEL_DIFF):
         return (alg, params.smooth_single, params.smooth_fused)
     return (None, params.smooth_single, None)
-
-
-def _last_threshold(alg: AlgorithmId, params: DetectorParams) -> float:
-    """The least value that ``alg``'s last stage keeps at ``params``: an
-    amplitude, or for intersect a negated pair distance, since a pair is
-    kept within ``fuse_max_dist``."""
-    value = getattr(params, _LAST_STAGE[alg])
-    if value is None:  # min_peak_amp is required, fuse_max_dist is not
-        raise ValueError("intersection fusion requires fuse_max_dist")
-    return -value if alg is AlgorithmId.HIGH_LEVEL_INTERSECT else value
 
 
 def _tally(group: np.ndarray, values: np.ndarray, thresholds: np.ndarray, n: int) -> np.ndarray:
@@ -220,19 +214,20 @@ class CorpusEngine:
         return self._contexts[key][1]
 
     def _plan(self, requests: Sequence[Tuple[AlgorithmId, DetectorParams]]
-              ) -> Iterator[Tuple[Tuple, Errors, List[List[int]]]]:
+              ) -> Iterator[Tuple[List[int], Errors, Union[Stage, Exception, None]]]:
         """Prepare the family of every (algorithm, parameters) request and
-        yield, one family at a time, its key, its failed recordings and the
-        positions of its requests, grouped by algorithm and every parameter
-        but the last stage's.
+        yield, per group of requests that differ only in their last stage's
+        threshold, their positions, their family's failed recordings, and
+        their last stage (see ``_last_stage``); or the error of a parameter
+        the algorithm lacks, or None when the whole family failed.
 
         Requests are taken one ``smooth_single`` window at a time. Each
         family is prepared once, at its requests' lowest ``min_peak_amp``
-        with all their gaps, and yielded before the next low-level family
-        evicts it. Between a window's builds the plan holds both wrists'
-        smoothed magnitudes when the window's families differ in kind, the
-        combined signal when they are all one low-level detector's, and
-        nothing for one family.
+        with all their gaps, and its groups are yielded before the next
+        low-level family evicts it. Between a window's builds the plan holds
+        both wrists' smoothed magnitudes when the window's families differ
+        in kind, the combined signal when they are all one low-level
+        detector's, and nothing for one family.
         """
         windows: Dict[float, Dict[Tuple, Dict[Tuple, List[int]]]] = {}
         for i, (alg, params) in enumerate(requests):
@@ -247,28 +242,43 @@ class CorpusEngine:
                 rows = [i for group in groups.values() for i in group]
                 floor = min(requests[i][1].min_peak_amp for i in rows)
                 gaps = dict.fromkeys(requests[i][1].min_peak_gap for i in rows)
-                yield key, self._prepare(key, floor, gaps, hold), list(groups.values())
+                errors = self._prepare(key, floor, gaps, hold)
+                merges: Dict = {}  # each gap's union merge, shared by the family's groups
+                for group in groups.values():
+                    stage = None
+                    if len(errors) < len(self.recordings):
+                        try:
+                            stage = self._last_stage(key, [requests[i] for i in group], merges)
+                        except ValueError as exc:
+                            stage = exc.with_traceback(None)  # kept by the engine: hold no frames
+                    yield group, errors, stage
 
-    def _last_stage(self, alg: AlgorithmId, key: Tuple, params: DetectorParams, merges: Dict
-                    ) -> Tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], Pool]]:
-        """Every stage of ``alg`` at ``params`` before its last threshold,
-        from the kept streams of family ``key`` (see ``_prepare``): each
-        candidate's recording, the value that threshold tests (see
-        :func:`_last_threshold`), and a function from a keep mask of the
-        candidates to the steps. ``merges`` carries each gap's union merge
-        between calls on one family.
+    def _last_stage(self, key: Tuple, requests: Sequence[Tuple[AlgorithmId, DetectorParams]],
+                    merges: Dict) -> Stage:
+        """Every stage before the last threshold of ``requests``, which
+        differ only in that threshold, from the kept streams of family
+        ``key`` (see ``_prepare``): each candidate's recording, the value
+        that threshold tests, each request's threshold, and a function from
+        a keep mask of the candidates to the steps.
 
-        A kept stream may be gated at a floor below ``params.min_peak_amp``.
-        The gated peaks are a prefix of the suppression and union priority
-        orders, so the steps do not depend on the floor; intersect pairs
-        after its amplitude gate, so it gates here.
+        The value is an amplitude, or for intersect a negated pair distance,
+        since a pair is kept within ``fuse_max_dist``. A kept stream may be
+        gated at a floor below ``min_peak_amp``. The gated peaks are a
+        prefix of the suppression and union priority orders, so the steps do
+        not depend on the floor; intersect pairs after its amplitude gate,
+        so it gates here.
         """
+        alg, params = requests[0]
+        thresholds = [getattr(p, _LAST_STAGE[alg]) for _, p in requests]
+        if None in thresholds:  # min_peak_amp is required, fuse_max_dist is not
+            raise ValueError("intersection fusion requires fuse_max_dist")
+        thresholds = np.array(thresholds)
         gap = params.min_peak_gap
         streams = [self._kept[(key, s, gap)][1] for s in _STREAMS[alg]]
         if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
             left, right = (s.gate(params.min_peak_amp) for s in streams)
             nearest, dist = mutual_nearest(left.times, right.times, left.group, right.group)
-            return left.group, -dist, lambda keep: intersect(left, right, nearest, keep)
+            return left.group, -dist, -thresholds, lambda keep: intersect(left, right, nearest, keep)
         if len(streams) == 2:
             if params.fuse_min_dist is None:
                 raise ValueError("union fusion requires fuse_min_dist")
@@ -276,7 +286,7 @@ class CorpusEngine:
                 merges[gap] = union_merge(*streams)
             merged, priority = merges[gap]
             streams = [merged.thin(priority, params.fuse_min_dist)]
-        return streams[0].group, streams[0].amps, streams[0].select
+        return streams[0].group, streams[0].amps, thresholds, streams[0].select
 
     def context_for(self, alg: AlgorithmId, params: DetectorParams) -> NormalizationContext:
         key = _family_key(alg, params)
@@ -292,27 +302,16 @@ class CorpusEngine:
 
     def detect(self, params_by_alg: Mapping[AlgorithmId, DetectorParams]) -> None:
         """Detect each algorithm at its parameters in every recording, and keep
-        the steps for ``steps`` in place of the last call's.
-
-        The plan builds each family the algorithms need once (see
-        ``_plan``), and each algorithm's steps are taken as soon as its
-        family is kept, before the next low-level family evicts it.
-        """
+        the steps for ``steps`` in place of the last call's. Each
+        algorithm's steps are taken as soon as ``_plan`` has its family."""
         self._found = {}  # free the previous steps first
         requests = list(params_by_alg.items())
         found = {}
-        for key, errors, groups in self._plan(requests):
-            for (i,) in groups:  # one request per algorithm
-                alg, params = requests[i]
-                steps = None  # none when the whole family failed
-                if len(errors) < len(self.recordings):
-                    try:
-                        threshold = _last_threshold(alg, params)
-                        _, values, select = self._last_stage(alg, key, params, {})
-                        steps = select(values >= threshold)
-                    except ValueError as exc:  # a parameter the algorithm lacks
-                        steps = exc.with_traceback(None)  # kept by the engine: hold no frames
-                found[(alg, params)] = (errors, steps)
+        for (i,), errors, stage in self._plan(requests):  # one request per algorithm
+            if isinstance(stage, tuple):
+                _, values, (threshold,), select = stage
+                stage = select(values >= threshold)
+            found[requests[i]] = (errors, stage)
         self._found = found
 
     def steps(self, alg: AlgorithmId, rid: str, params: DetectorParams) -> PeakSet:
@@ -334,26 +333,21 @@ class CorpusEngine:
 
     # -- grid counts --------------------------------------------------------
 
-    def count_tensor(self, alg: AlgorithmId, points: Sequence[DetectorParams]) -> np.ndarray:
-        """``counts[p, r] == len(steps(alg, r, points[p]))`` for every grid point
-        and every recording, in corpus order.
-
-        The grid points of one signal family detect with one amplitude floor,
-        their lowest threshold, so they share every stage that their own
-        amplitude gate does not change. Points that differ only in the
-        threshold of their last stage (``min_peak_amp``, or ``fuse_max_dist``
-        for ``intersect``, which gates before it pairs) are counted together
-        from the values that threshold tests, by :func:`_tally`; no pool of
+    def count_tensor(self, requests: Sequence[Tuple[AlgorithmId, DetectorParams]]) -> np.ndarray:
+        """``counts[q, r] == len(steps(alg, r, params))`` for every (``alg``,
+        ``params``) request ``q``, in any order and mix of algorithms, repeats
+        allowed, and every recording, in corpus order. Requests that differ
+        only in their last stage's threshold (see ``_plan``) are counted
+        together from the values it tests, by :func:`_tally`; no pool of
         steps is built.
         """
         n = len(self.recordings)
-        counts = np.empty((len(points), n), dtype=np.int64)
-        for key, errors, groups in self._plan([(alg, params) for params in points]):
+        counts = np.empty((len(requests), n), dtype=np.int64)
+        for rows, errors, stage in self._plan(requests):
             if errors:
                 raise _fresh(next(iter(errors.values())))
-            merges: Dict = {}
-            for rows in groups:
-                thresholds = np.array([_last_threshold(alg, points[p]) for p in rows])
-                group, values, _ = self._last_stage(alg, key, points[rows[0]], merges)
-                counts[rows] = _tally(group, values, thresholds, n)
+            if isinstance(stage, Exception):
+                raise stage
+            group, values, thresholds, _ = stage
+            counts[rows] = _tally(group, values, thresholds, n)
         return counts

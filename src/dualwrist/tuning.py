@@ -132,7 +132,7 @@ def grid_search(
     labels = _labels(train)
     engine = engine or CorpusEngine(train)
     points = grid.points(alg)
-    counts = engine.count_tensor(alg, points)[:, engine.columns(train)]
+    counts = engine.count_tensor([(alg, p) for p in points])[:, engine.columns(train)]
     return points[_best_row(counts, labels)]
 
 
@@ -144,35 +144,36 @@ def _mean_params(fold_params: Sequence[DetectorParams]) -> DetectorParams:
     return DetectorParams(**kwargs)
 
 
-def cross_validate(
-    dataset: Sequence[Recording],
-    alg: AlgorithmId,
-    grid: ParamGrid,
-    k: int = 5,
-    seed: int = 0,
-    engine: Optional[CorpusEngine] = None,
-) -> CVReport:
-    """k-fold CV: grid-search on k-1 folds, score RMSE on the held-out fold.
+def cross_validate_study(dataset: Sequence[Recording], algorithms: Sequence[AlgorithmId], grid: ParamGrid,
+                         k: int = 5, seed: int = 0, engine: Optional[CorpusEngine] = None
+                         ) -> Dict[AlgorithmId, CVReport]:
+    """k-fold CV of each algorithm, repeats collapsed, in order: grid-search
+    on k-1 folds, score RMSE on the held-out fold.
 
-    The grid is counted once on the whole dataset; folds select columns.
+    Every algorithm's grid is counted in one ``count_tensor`` call on the
+    whole dataset, which smooths each window once for all of them; folds
+    select columns.
     """
     engine = engine or CorpusEngine(dataset)
     folds = make_folds(dataset, k, seed)
     labels = _labels(dataset)
-    points = grid.points(alg)
-    counts = engine.count_tensor(alg, points)[:, engine.columns(dataset)]
-    fold_params = []
-    fold_rmse = []
-    for held_out in range(k):
-        train = [i for f, fold in enumerate(folds) if f != held_out for i in fold]
-        test = folds[held_out]
-        best = _best_row(counts[:, train], labels[train])
-        fold_params.append(points[best])
-        fold_rmse.append(rmse(counts[best, test], labels[test]))
-    return CVReport(
-        algorithm=alg,
-        fold_params=fold_params,
-        mean_params=_mean_params(fold_params),
-        fold_test_rmse=fold_rmse,
-        mean_test_rmse=float(np.mean(fold_rmse)),
-    )
+    points = {alg: grid.points(alg) for alg in algorithms}
+    counts = engine.count_tensor([(alg, p) for alg, ps in points.items() for p in ps])
+    counts = counts[:, engine.columns(dataset)]
+    reports = {}
+    for alg, ps in points.items():
+        rows, counts = counts[:len(ps)], counts[len(ps):]
+        fold_params, fold_rmse = [], []
+        for held_out, test in enumerate(folds):
+            train = [i for f, fold in enumerate(folds) if f != held_out for i in fold]
+            best = _best_row(rows[:, train], labels[train])
+            fold_params.append(ps[best])
+            fold_rmse.append(rmse(rows[best, test], labels[test]))
+        reports[alg] = CVReport(alg, fold_params, _mean_params(fold_params), fold_rmse, float(np.mean(fold_rmse)))
+    return reports
+
+
+def cross_validate(dataset: Sequence[Recording], alg: AlgorithmId, grid: ParamGrid, k: int = 5, seed: int = 0,
+                   engine: Optional[CorpusEngine] = None) -> CVReport:
+    """k-fold CV of one algorithm: the one-key case of :func:`cross_validate_study`."""
+    return cross_validate_study(dataset, [alg], grid, k=k, seed=seed, engine=engine)[alg]

@@ -19,7 +19,7 @@ from dualwrist import (
     PeakSet,
     ScalarSeries,
     WalkTask,
-    cross_validate,
+    cross_validate_study,
     detect_peaks,
     evaluate_corpus,
     intersect_fuse,
@@ -49,10 +49,7 @@ def full_run():
     dataset = simulate_corpus(CorpusSpec())  # 203 recordings, seed 42
     engine = CorpusEngine(dataset)
     grid = ParamGrid()
-    reports = {
-        alg: cross_validate(dataset, alg, grid, k=5, seed=0, engine=engine)
-        for alg in AlgorithmId
-    }
+    reports = cross_validate_study(dataset, list(AlgorithmId), grid, k=5, seed=0, engine=engine)
     evaluation = evaluate_corpus(
         dataset,
         list(AlgorithmId),

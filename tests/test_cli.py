@@ -409,6 +409,10 @@ BAD_INPUTS = [
     ("manifest_file_name_null", "corpus/manifest.json", _manifest_file("slow_pace_001", "left", None),
      "tune corpus", "manifest.json: "),
     ("counts_of_no_detector", "det/counts_foo.csv", "recording_id,count\n", "evaluate", "counts_foo.csv"),
+    ("summary_invalid_json", "summary.json", '{"per_algorithm": {', "report", "invalid JSON"),
+    ("summary_without_per_algorithm", "summary.json", '{"per_task": {}}', "report", "'per_algorithm'"),
+    ("summary_without_pearson_r", "summary.json", '{"per_algorithm": {"union": {"mean_abs": 1.0}}, "per_task": {}}',
+     "report", "'pearson_r'"),
 ]
 
 
@@ -437,6 +441,7 @@ def test_bad_input_fails_cleanly(workspace, tmp_path, capsys, case, name, conten
         "tune corpus": ["tune", "--corpus", corpus, "--out", out],
         "simulate": ["simulate", "--spec", str(bad), "--out", out],
         "evaluate": ["evaluate", "--corpus", corpus, "--detections", str(det), "--out", out],
+        "report": ["report", "--evaluation", str(bad.parent)],
     }[command]
     assert cli_main(argv) == 1
     err = capsys.readouterr().err

@@ -21,6 +21,7 @@ from dualwrist import (
     Side,
     WalkTask,
     cross_validate,
+    cross_validate_study,
     detect_peaks,
     evaluate_corpus,
     fit_normalization,
@@ -124,7 +125,7 @@ SMALL_GRID = ParamGrid(
 def test_count_tensor_counts_the_steps(small_corpus, alg):
     engine = CorpusEngine(small_corpus)
     points = SMALL_GRID.points(alg)
-    counts = engine.count_tensor(alg, points)
+    counts = engine.count_tensor([(alg, p) for p in points])
     expected = [[len(engine.steps(alg, rec.id, params)) for rec in small_corpus] for params in points]
     assert counts.tolist() == expected
 
@@ -146,9 +147,26 @@ def test_count_tensor_counts_any_threshold_list(small_corpus, alg):
         _, dist = mutual_nearest(left, right, np.zeros(len(left)), np.zeros(len(right)))
         points.append(replace(base, fuse_max_dist=float(dist[np.isfinite(dist)][0])))
     random.Random(5).shuffle(points)
-    counts = engine.count_tensor(alg, points)
+    counts = engine.count_tensor([(alg, p) for p in points])
     expected = [[len(engine.steps(alg, rec.id, params)) for rec in small_corpus] for params in points]
     assert counts.tolist() == expected
+
+
+def test_count_tensor_counts_mixed_requests(small_corpus):
+    """One shuffled request list of every detector's grid points, with
+    repeats, counts each detector's own rows and a fresh engine's steps."""
+    requests = [(alg, p) for alg in AlgorithmId for p in SMALL_GRID.points(alg)]
+    requests += requests[::5]
+    random.Random(7).shuffle(requests)
+    counts = {}
+    for request, row in zip(requests, CorpusEngine(small_corpus).count_tensor(requests).tolist()):
+        assert counts.setdefault(request, row) == row
+    for alg in AlgorithmId:
+        points = SMALL_GRID.points(alg)
+        own = CorpusEngine(small_corpus).count_tensor([(alg, p) for p in points]).tolist()
+        fresh = CorpusEngine(small_corpus)
+        steps = [[len(fresh.steps(alg, rec.id, p)) for rec in small_corpus] for p in points]
+        assert [counts[(alg, p)] for p in points] == own == steps
 
 
 @pytest.mark.parametrize("order", ["forward", "reverse"])
@@ -160,8 +178,8 @@ def test_shared_engine_matches_fresh_engines(small_corpus, order):
     rids = [rec.id for rec in small_corpus]
     for alg in algs:
         points = SMALL_GRID.points(alg)
-        fresh = CorpusEngine(small_corpus).count_tensor(alg, points)
-        assert shared.count_tensor(alg, points).tolist() == fresh.tolist()
+        fresh = CorpusEngine(small_corpus).count_tensor([(alg, p) for p in points])
+        assert shared.count_tensor([(alg, p) for p in points]).tolist() == fresh.tolist()
         # The grid keeps streams gated at 0.04: steps above that floor read
         # them, steps below it suppress again.
         for amp in (0.25, 0.02):
@@ -191,7 +209,7 @@ def test_low_level_grid_combines_each_window_once(small_corpus, alg, monkeypatch
             return real(rec, side, window)
 
         monkeypatch.setattr(pipeline, "smoothed_magnitude", counted)
-        tensor = CorpusEngine(small_corpus).count_tensor(alg, order)
+        tensor = CorpusEngine(small_corpus).count_tensor([(alg, p) for p in order])
         assert calls == {(rec.id, w): 2 for rec in small_corpus for w in grid.smooth_single}
         monkeypatch.undo()
         counts.append(dict(zip(order, tensor.tolist())))
@@ -203,7 +221,8 @@ def test_low_level_grid_combines_each_window_once(small_corpus, alg, monkeypatch
 
 def test_evaluation_smooths_each_wrist_once_per_window(small_corpus, monkeypatch):
     """Evaluating all six detectors, with sum, diff and union on one window,
-    smooths each wrist once per window and detects what fresh engines do."""
+    and a tuning study of all six, each smooth each wrist once per window;
+    the evaluation detects what fresh engines do."""
     shared = dict(min_peak_amp=0.12, min_peak_gap=0.4, fuse_max_dist=0.3, fuse_min_dist=0.3)
     params = {
         AlgorithmId.NO_FUSION_LEFT: DetectorParams(smooth_single=0.2, **shared),
@@ -224,6 +243,9 @@ def test_evaluation_smooths_each_wrist_once_per_window(small_corpus, monkeypatch
     result = evaluate_corpus(small_corpus, list(params), params)
     windows = {p.smooth_single for p in params.values()}
     assert calls == {(rec.id, side, w): 1 for rec in small_corpus for side in Side for w in windows}
+    calls.clear()
+    cross_validate_study(small_corpus, list(AlgorithmId), SMALL_GRID, k=2)
+    assert calls == {(rec.id, side, w): 1 for rec in small_corpus for side in Side for w in SMALL_GRID.smooth_single}
     monkeypatch.undo()
     assert all(row.error is None for row in result.rows)
     for alg, p in params.items():
@@ -290,7 +312,7 @@ def test_used_engine_is_freed_without_the_cycle_collector(small_corpus):
     raised a kept error too."""
     engine = CorpusEngine(small_corpus)
     for alg in AlgorithmId:
-        engine.count_tensor(alg, SMALL_GRID.points(alg)[:4])
+        engine.count_tensor([(alg, p) for p in SMALL_GRID.points(alg)[:4]])
         engine.steps(alg, small_corpus[0].id, PARAM_POINTS[0])
         engine.context_for(alg, PARAM_POINTS[1])
     short = recording_from_signals([0.0, 1.0], [1.0, 0.0], rec_id="short")  # too short for peaks
@@ -300,7 +322,7 @@ def test_used_engine_is_freed_without_the_cycle_collector(small_corpus):
         with pytest.raises(ValueError, match="3 samples"):
             failing.steps(alg, "short", PARAM_POINTS[0])
         with pytest.raises(ValueError, match="3 samples"):
-            failing.count_tensor(alg, PARAM_POINTS[:1])
+            failing.count_tensor([(alg, p) for p in PARAM_POINTS[:1]])
     refs = [weakref.ref(engine), weakref.ref(failing)]
     gc.disable()
     try:

@@ -9,6 +9,7 @@ from dualwrist import (
     ParamGrid,
     WalkTask,
     cross_validate,
+    cross_validate_study,
     grid_search,
     make_folds,
     rmse,
@@ -219,3 +220,14 @@ class TestCrossValidate:
         pts = SMALL_GRID.points(AlgorithmId.NO_FUSION_RIGHT)
         for p in rep.fold_params:
             assert p in pts
+
+    def test_study_matches_each_cross_validate(self, small_corpus):
+        """One study of all six detectors reports what each detector's own
+        cross-validation does; a repeated algorithm is reported once, in order."""
+        union, left = AlgorithmId.HIGH_LEVEL_UNION, AlgorithmId.NO_FUSION_LEFT
+        algs = [union, *AlgorithmId, left]
+        reports = cross_validate_study(small_corpus, algs, SMALL_GRID, k=3, seed=5)
+        assert list(reports) == list(dict.fromkeys(algs))
+        for alg, rep in reports.items():
+            alone = cross_validate(small_corpus, alg, SMALL_GRID, k=3, seed=5)
+            assert rep.algorithm is alg and rep.to_dict() == alone.to_dict()
