@@ -21,11 +21,18 @@ def candidate_peaks(series: ScalarSeries) -> PeakSet:
     if len(v) < 3:
         raise ValueError("need at least 3 samples for peak detection")
     d = np.diff(v)
-    nz = np.flatnonzero(d)
-    if len(nz) < 2:
-        return PeakSet.empty()
-    sel = (d[nz[:-1]] > 0) & (d[nz[1:]] < 0)
-    idx = nz[:-1][sel] + 1
+    # A rise into sample i and no rise out of it: a peak when d[i] falls, or,
+    # when sample i starts a plateau (d[i] == 0), when the first nonzero
+    # difference after it falls.
+    idx = np.flatnonzero((d[:-1] > 0) & (d[1:] <= 0)) + 1
+    falls = d[idx] < 0
+    plateau = ~falls
+    if plateau.any():
+        nz = np.flatnonzero(d)
+        # Where no change follows a plateau, the last difference, 0, stands in.
+        after = np.append(nz, len(d) - 1)[np.searchsorted(nz, idx[plateau])]
+        falls[plateau] = d[after] < 0
+    idx = idx[falls]
     return PeakSet(times=series.t0 + idx / series.rate, amplitudes=v[idx])
 
 

@@ -82,6 +82,12 @@ def _held(hold: Dict, kind: Optional[AlgorithmId], make: Callable[[], Iterable])
     return hold[kind]
 
 
+def _each(items: Iterable, make: Callable) -> Iterator:
+    """``make`` of each recording's item, passing a failed recording's error
+    through."""
+    return (x if isinstance(x, Exception) else make(x) for x in items)
+
+
 def _fresh(exc: Exception) -> Exception:
     """A copy of a kept error to raise: raising the kept one would tie the
     raising frames, and through them the engine, to it."""
@@ -95,18 +101,23 @@ class _Family:
 
     ctx: Optional[NormalizationContext]  # None when the whole family failed
     streams: List[Pool]
-    errors: Errors  # recordings whose candidates failed
+    errors: Errors  # recordings whose signals or candidates failed
 
 
-def _build_family(signals: Sequence[Sequence[ScalarSeries]]) -> _Family:
-    """The family of ``signals``: per recording, one series per stream."""
-    ctx = fit_normalization(s for streams in signals for s in streams)
-    errors: Errors = {}
+def _build_family(signals: Sequence[Union[Sequence[ScalarSeries], Exception]]) -> _Family:
+    """The family of ``signals``: per recording, one series per stream, or
+    why the recording has none. The context is fitted over the recordings
+    that have series."""
+    errors: Errors = {i: s for i, s in enumerate(signals) if isinstance(s, Exception)}
+    good = {i: streams for i, streams in enumerate(signals) if i not in errors}
+    if not good:
+        return _Family(None, [], errors)
+    ctx = fit_normalization(s for streams in good.values() for s in streams)
     streams = []
-    for stream in zip(*signals):
-        cands = [_candidates_or_error(s, ctx) for s in stream]
-        errors.update((i, c) for i, c in enumerate(cands) if isinstance(c, Exception))
-        streams.append(Pool.of([PeakSet.empty() if i in errors else c for i, c in enumerate(cands)]))
+    for stream in zip(*good.values()):
+        cands = {i: _candidates_or_error(s, ctx) for i, s in zip(good, stream)}
+        errors.update((i, c) for i, c in cands.items() if isinstance(c, Exception))
+        streams.append(Pool.of([PeakSet.empty() if i in errors else cands[i] for i in range(len(signals))]))
     return _Family(ctx, streams, errors)
 
 
@@ -166,10 +177,18 @@ class CorpusEngine:
 
     # -- stages ---------------------------------------------------------------
 
-    def _smoothed(self, window: float) -> Iterator[Tuple[ScalarSeries, ScalarSeries]]:
-        """Both wrists' smoothed magnitudes, one recording at a time."""
+    def _smoothed(self, window: float) -> Iterator[Union[List[ScalarSeries], Exception]]:
+        """Both wrists' smoothed magnitudes, one recording at a time, or the
+        error of a recording with a wrist that has none."""
         for r in self.recordings.values():
-            yield smoothed_magnitude(r, Side.LEFT, window), smoothed_magnitude(r, Side.RIGHT, window)
+            pair = []
+            for side in Side:
+                try:
+                    pair.append(smoothed_magnitude(r, side, window))
+                except ValueError as exc:  # kept by the engine: a new error holds no frames
+                    pair = ValueError(f"recording {r.id!r}, {side.value} wrist: {exc}")
+                    break
+            yield pair
 
     def _build(self, key: Tuple, hold: Dict) -> _Family:
         """Family ``key``'s candidates; the signals ``hold`` has no place for
@@ -180,9 +199,9 @@ class CorpusEngine:
             if alg is None:
                 family = _build_family(list(smoothed))
             else:
-                combined = _held(hold, alg, lambda: (combined_signal(n_l, n_r, alg) for n_l, n_r in smoothed))
-                family = _build_family([[fused_signal(c, smooth_fused)] for c in combined])
-        except ValueError as exc:  # no signals or context: every recording fails
+                combined = _held(hold, alg, lambda: _each(smoothed, lambda pair: combined_signal(*pair, alg)))
+                family = _build_family(list(_each(combined, lambda c: [fused_signal(c, smooth_fused)])))
+        except ValueError as exc:  # a family-wide error, as no smooth_fused: every recording fails
             exc = exc.with_traceback(None)
             family = _Family(None, [], dict.fromkeys(range(len(self.recordings)), exc))
         self._contexts[key] = (family.ctx, family.errors)

@@ -23,7 +23,8 @@ class NormalizationContext:
 
 def magnitude(series: TriaxialSeries) -> ScalarSeries:
     """Per-sample Euclidean norm of the three axes."""
-    values = np.sqrt(series.x**2 + series.y**2 + series.z**2)
+    with np.errstate(over="ignore"):  # an overflow is inf, which ScalarSeries rejects
+        values = np.sqrt(series.x**2 + series.y**2 + series.z**2)
     return ScalarSeries(rate=series.rate, values=values, t0=series.t0)
 
 
@@ -51,9 +52,10 @@ def moving_average(series: ScalarSeries, window: float) -> ScalarSeries:
     out = np.empty(n)
     if n >= w:
         # Interior: full windows. Mean over the window axis matches np.mean on
-        # the equivalent slice, so brute-force comparisons are exact.
+        # the equivalent slice, so brute-force comparisons are exact; with
+        # ``out`` it sums and divides in place.
         windows = np.lib.stride_tricks.sliding_window_view(values, w)
-        out[half : n - half] = windows.mean(axis=1)
+        windows.mean(axis=1, out=out[half : n - half])
         edges = list(range(half)) + list(range(n - half, n))
     else:
         edges = range(n)

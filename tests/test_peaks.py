@@ -81,6 +81,16 @@ class TestCandidatePeaks:
         assert np.allclose(got.times, [1.0 + i / 2.0 for i in want])
         assert np.array_equal(got.amplitudes, v[want])
 
+    @given(arrays(float, st.integers(3, 64), elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])))
+    @settings(max_examples=300)
+    def test_matches_brute_force_on_plateaus(self, v):
+        """Values 0-3 give plateaus that fall, rise, run to the end or fill
+        the series; every peak is found at its exact index."""
+        got = candidate_peaks(scalar(v, rate=3.0, t0=0.7))
+        want = np.array(ref_local_maxima(v), dtype=np.intp)
+        assert np.array_equal(got.times, 0.7 + want / 3.0)
+        assert np.array_equal(got.amplitudes, v[want])
+
 
 class TestDetectPeaks:
     def test_worked_greedy_example(self):

@@ -306,6 +306,28 @@ def test_fused_detectors_reuse_single_side_streams(small_corpus, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("side", list(Side))
+def test_overflowing_wrist_fails_its_recording_alone(side):
+    """A wrist whose magnitude overflows fails its recording alone, naming it
+    and the wrist: every other recording has the steps of an engine built
+    without it, and count_tensor still raises."""
+    dataset = simulate_corpus(CorpusSpec(task_counts=dict.fromkeys(WalkTask, 1), seed=0))
+    bad, good = dataset[0], dataset[1:]
+    sensor = bad.side(side)
+    x = sensor.x.copy()
+    x[50] = 1e200
+    bad = replace(bad, **{side.value: replace(sensor, x=x)})
+    engine, without = CorpusEngine([bad] + good), CorpusEngine(good)
+    message = f"recording {bad.id!r}, {side.value} wrist: values must be finite"
+    for alg in AlgorithmId:
+        with pytest.raises(ValueError, match=message):
+            engine.steps(alg, bad.id, PARAM_POINTS[0])
+        assert ([engine.steps(alg, rec.id, PARAM_POINTS[0]) for rec in good]
+                == [without.steps(alg, rec.id, PARAM_POINTS[0]) for rec in good])
+        with pytest.raises(ValueError, match=message):
+            engine.count_tensor([(alg, PARAM_POINTS[0])])
+
+
 def test_used_engine_is_freed_without_the_cycle_collector(small_corpus):
     """What an engine keeps must not refer back to it: a cycle would keep every
     engine's kept streams alive until a collection. That holds after it has

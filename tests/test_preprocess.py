@@ -1,7 +1,7 @@
 """Magnitude, moving average, and min-max normalization."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,8 +19,14 @@ from conftest import scalar, triaxial
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
-def signals(min_size=1, max_size=64):
-    return arrays(float, st.integers(min_size, max_size), elements=finite)
+def signals(min_size=1, max_size=64, elements=finite):
+    return arrays(float, st.integers(min_size, max_size), elements=elements)
+
+
+# Wide enough to reach subnormals and huge values, small enough that a sum of
+# three squares stays finite. The pins below compare bit for bit with plain
+# numpy, so a change to a stage's arithmetic fails under that stage's name.
+wide = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False)
 
 
 class TestMagnitude:
@@ -42,6 +48,11 @@ class TestMagnitude:
         shuffled = [signs[i] * axes[perm[i]] for i in range(3)]
         other = magnitude(triaxial(shuffled[0], shuffled[1], shuffled[2])).values
         assert np.allclose(base, other, rtol=0, atol=1e-9)
+
+    @given(st.integers(1, 32).flatmap(lambda n: st.tuples(*[arrays(float, n, elements=wide)] * 3)))
+    def test_bit_identical_to_numpy(self, xyz):
+        x, y, z = xyz
+        assert np.array_equal(magnitude(triaxial(x, y, z)).values, np.sqrt(x**2 + y**2 + z**2))
 
 
 class TestWindowSamples:
@@ -89,6 +100,13 @@ class TestMovingAverage:
         out = moving_average(scalar(v, rate=4.0), window)
         w = window_samples(window, 4.0)
         assert np.array_equal(out.values, self._brute(v, w) if w > 1 else v)
+
+    @given(signals(max_size=160, elements=wide), st.integers(1, 25))
+    @settings(max_examples=150)
+    def test_bit_identical_to_slice_means(self, v, half):
+        w = 2 * half + 1  # 3 to 51 samples
+        out = moving_average(scalar(v, rate=1.0), float(w))
+        assert np.array_equal(out.values, self._brute(v, w))
 
     @given(signals(min_size=3, max_size=32), signals(min_size=3, max_size=32),
            st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 5.0))
@@ -138,6 +156,13 @@ class TestNormalization:
     def test_context_ordering_validated(self):
         with pytest.raises(ValueError):
             NormalizationContext(1.0, 0.0)
+
+    @given(signals(min_size=2, max_size=32, elements=wide))
+    def test_normalize_bit_identical_to_numpy(self, v):
+        ctx = fit_normalization([scalar(v)])
+        assume(ctx.global_max > ctx.global_min)
+        span = ctx.global_max - ctx.global_min
+        assert np.array_equal(min_max_normalize(scalar(v), ctx).values, (v - ctx.global_min) / span)
 
     @given(signals(min_size=2, max_size=32))
     @settings(max_examples=100)
