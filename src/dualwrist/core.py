@@ -16,6 +16,14 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
+def _fields_equal(self, other) -> bool:
+    """Dataclass equality that compares array fields by value."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+               for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self)))
+
+
 class WalkTask(Enum):
     SLOW_PACE = "slow_pace"
     COMFORTABLE_PACE = "comfortable_pace"
@@ -76,16 +84,7 @@ class TriaxialSeries:
         """Time covered by the samples, in seconds."""
         return len(self) / self.rate
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TriaxialSeries):
-            return NotImplemented
-        return (
-            self.rate == other.rate
-            and self.t0 == other.t0
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.z, other.z)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,14 +113,7 @@ class ScalarSeries:
     def with_values(self, values) -> "ScalarSeries":
         return ScalarSeries(rate=self.rate, values=values, t0=self.t0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScalarSeries):
-            return NotImplemented
-        return (
-            self.rate == other.rate
-            and self.t0 == other.t0
-            and np.array_equal(self.values, other.values)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +134,7 @@ class PeakSet:
     def __len__(self) -> int:
         return len(self.times)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PeakSet):
-            return NotImplemented
-        return np.array_equal(self.times, other.times) and np.array_equal(
-            self.amplitudes, other.amplitudes
-        )
+    __eq__ = _fields_equal
 
     @staticmethod
     def empty() -> "PeakSet":
@@ -198,19 +185,7 @@ class GroundTruth:
         """All heel-strike times, both sides pooled, sorted."""
         return np.sort(np.concatenate([self.heel_strikes_left, self.heel_strikes_right]))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroundTruth):
-            return NotImplemented
-        return self.label_count == other.label_count and all(
-            np.array_equal(getattr(self, n), getattr(other, n))
-            for n in (
-                "step_times",
-                "heel_strikes_left",
-                "heel_strikes_right",
-                "toe_offs_left",
-                "toe_offs_right",
-            )
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,19 +221,7 @@ class Recording:
     def side(self, side: Side) -> TriaxialSeries:
         return self.left if side is Side.LEFT else self.right
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Recording):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.subject_id == other.subject_id
-            and self.task == other.task
-            and self.duration == other.duration
-            and self.self_count == other.self_count
-            and self.left == other.left
-            and self.right == other.right
-            and self.ground_truth == other.ground_truth
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)

@@ -245,8 +245,9 @@ def evaluate_corpus(
 ) -> EvaluationResult:
     """Run every requested detector on every recording and aggregate.
 
-    A recording that fails for one detector becomes an error row instead of
-    aborting the evaluation. ``engine``, when given, must hold every
+    A recording that fails for one detector, with a ``ValueError``, becomes
+    an error row instead of aborting the evaluation; any other exception
+    propagates. ``engine``, when given, must hold every
     recording of ``dataset``.
     """
     engine = engine or CorpusEngine(dataset)
@@ -263,7 +264,7 @@ def evaluate_corpus(
         for rec in dataset:
             try:
                 steps = engine.steps(alg, rec.id, params)
-            except Exception as exc:  # noqa: BLE001 - error rows by contract
+            except ValueError as exc:
                 label = _ground_truth(rec).label_count
                 error_rows.append(RecordingResult(rec.id, rec.task, alg, None, label, None, str(exc)))
                 continue

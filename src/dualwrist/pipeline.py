@@ -19,9 +19,7 @@ evaluation share one build of each single-side family.
 """
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -43,7 +41,7 @@ _STREAMS.update({AlgorithmId.NO_FUSION_LEFT: (0,), AlgorithmId.NO_FUSION_RIGHT: 
 _LAST_STAGE = dict.fromkeys(AlgorithmId, "min_peak_amp")
 _LAST_STAGE[AlgorithmId.HIGH_LEVEL_INTERSECT] = "fuse_max_dist"
 
-Errors = Dict[int, Exception]  # recording index -> why it has no steps
+Errors = Dict[int, str]  # recording index -> why it has no steps
 # A group's last stage: each candidate's recording, the value its threshold
 # tests, each request's threshold, and the steps of a keep mask.
 Stage = Tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[np.ndarray], Pool]]
@@ -82,50 +80,17 @@ def _held(hold: Dict, kind: Optional[AlgorithmId], make: Callable[[], Iterable])
     return hold[kind]
 
 
-def _each(items: Iterable, make: Callable) -> Iterator:
-    """``make`` of each recording's item, passing a failed recording's error
-    through."""
-    return (x if isinstance(x, Exception) else make(x) for x in items)
-
-
-def _fresh(exc: Exception) -> Exception:
-    """A copy of a kept error to raise: raising the kept one would tie the
-    raising frames, and through them the engine, to it."""
-    return copy.copy(exc)
-
-
-@dataclass(frozen=True)
-class _Family:
-    """One signal family over the corpus: its normalization context and the
-    normalized candidate peaks of each stream."""
-
-    ctx: Optional[NormalizationContext]  # None when the whole family failed
-    streams: List[Pool]
-    errors: Errors  # recordings whose signals or candidates failed
-
-
-def _build_family(signals: Sequence[Union[Sequence[ScalarSeries], Exception]]) -> _Family:
-    """The family of ``signals``: per recording, one series per stream, or
-    why the recording has none. The context is fitted over the recordings
-    that have series."""
-    errors: Errors = {i: s for i, s in enumerate(signals) if isinstance(s, Exception)}
-    good = {i: streams for i, streams in enumerate(signals) if i not in errors}
-    if not good:
-        return _Family(None, [], errors)
-    ctx = fit_normalization(s for streams in good.values() for s in streams)
-    streams = []
-    for stream in zip(*good.values()):
-        cands = {i: _candidates_or_error(s, ctx) for i, s in zip(good, stream)}
-        errors.update((i, c) for i, c in cands.items() if isinstance(c, Exception))
-        streams.append(Pool.of([PeakSet.empty() if i in errors else cands[i] for i in range(len(signals))]))
-    return _Family(ctx, streams, errors)
-
-
-def _candidates_or_error(series: ScalarSeries, ctx: NormalizationContext):
-    try:
-        return candidate_peaks(min_max_normalize(series, ctx))
-    except ValueError as exc:
-        return exc.with_traceback(None)  # kept by the engine: hold no frames
+def _each(rids: Iterable[str], items: Iterable, make: Callable) -> Iterator:
+    """``make`` of each recording's item, passing on a failed recording's
+    message; a ``ValueError`` of ``make`` fails that recording alone, with a
+    message naming it."""
+    for rid, x in zip(rids, items):
+        if not isinstance(x, str):
+            try:
+                x = make(x)
+            except ValueError as exc:
+                x = f"recording {rid!r}: {exc}"
+        yield x
 
 
 class CorpusEngine:
@@ -169,7 +134,7 @@ class CorpusEngine:
         self._kept: Dict[Tuple, Tuple[float, Pool]] = {}
         # (alg, params) -> (its family's failed recordings, its steps in every
         # recording or why it has none), from the most recent detect call.
-        self._found: Dict[Tuple, Tuple[Errors, Union[Pool, Exception]]] = {}
+        self._found: Dict[Tuple, Tuple[Errors, Union[Pool, str, None]]] = {}
 
     def columns(self, recordings: Sequence[Recording]) -> List[int]:
         """Positions of ``recordings`` in the engine's corpus order."""
@@ -177,35 +142,42 @@ class CorpusEngine:
 
     # -- stages ---------------------------------------------------------------
 
-    def _smoothed(self, window: float) -> Iterator[Union[List[ScalarSeries], Exception]]:
-        """Both wrists' smoothed magnitudes, one recording at a time, or the
-        error of a recording with a wrist that has none."""
+    def _smoothed(self, window: float) -> Iterator[Union[List[ScalarSeries], str]]:
+        """Both wrists' smoothed magnitudes, one recording at a time, or why
+        a recording with a wrist that has none failed."""
         for r in self.recordings.values():
             pair = []
             for side in Side:
                 try:
                     pair.append(smoothed_magnitude(r, side, window))
-                except ValueError as exc:  # kept by the engine: a new error holds no frames
-                    pair = ValueError(f"recording {r.id!r}, {side.value} wrist: {exc}")
+                except ValueError as exc:
+                    pair = f"recording {r.id!r}, {side.value} wrist: {exc}"
                     break
             yield pair
 
-    def _build(self, key: Tuple, hold: Dict) -> _Family:
-        """Family ``key``'s candidates; the signals ``hold`` has no place for
-        are dropped once used (see ``_held``)."""
+    def _build(self, key: Tuple, hold: Dict) -> List[Pool]:
+        """Family ``key``'s normalized candidates, one pool per stream, or
+        none when every recording failed; its context, fitted over the
+        recordings that have signals, and its failed recordings go to
+        ``_contexts``. The signals ``hold`` has no place for are dropped once
+        used (see ``_held``)."""
         alg, window, smooth_fused = key
-        try:
-            smoothed = _held(hold, None, lambda: self._smoothed(window))
-            if alg is None:
-                family = _build_family(list(smoothed))
-            else:
-                combined = _held(hold, alg, lambda: _each(smoothed, lambda pair: combined_signal(*pair, alg)))
-                family = _build_family(list(_each(combined, lambda c: [fused_signal(c, smooth_fused)])))
-        except ValueError as exc:  # a family-wide error, as no smooth_fused: every recording fails
-            exc = exc.with_traceback(None)
-            family = _Family(None, [], dict.fromkeys(range(len(self.recordings)), exc))
-        self._contexts[key] = (family.ctx, family.errors)
-        return family
+        rids = list(self.recordings)
+        signals = _held(hold, None, lambda: self._smoothed(window))
+        if alg is not None:
+            combined = _held(hold, alg, lambda: _each(rids, signals, lambda pair: combined_signal(*pair, alg)))
+            signals = _each(rids, combined, lambda c: [fused_signal(c, smooth_fused)])
+        signals = list(signals)
+        good = [streams for streams in signals if not isinstance(streams, str)]
+        ctx = fit_normalization(s for streams in good for s in streams) if good else None
+        cands = list(_each(rids, signals, lambda streams: [candidate_peaks(min_max_normalize(s, ctx))
+                                                           for s in streams]))
+        errors = {i: c for i, c in enumerate(cands) if isinstance(c, str)}
+        self._contexts[key] = (ctx, errors)
+        if len(errors) == len(cands):
+            return []
+        empty = [PeakSet.empty()] * len(good[0])
+        return [Pool.of(list(stream)) for stream in zip(*(empty if isinstance(c, str) else c for c in cands))]
 
     def _prepare(self, key: Tuple, floor: float, gaps: Iterable[float], hold: Dict) -> Errors:
         """Keep every stream of family ``key`` gated at ``floor`` or below and
@@ -215,7 +187,7 @@ class CorpusEngine:
         whatever the algorithm, so ``left`` also keeps what ``right``,
         ``intersect`` and ``union`` read."""
         known = self._contexts.get(key)
-        if known is not None and known[0] is None:
+        if known is not None and len(known[1]) == len(self.recordings):
             return known[1]
         n_streams = 2 if key[0] is None else 1
         missing = [(s, gap) for gap in gaps for s in range(n_streams)
@@ -223,22 +195,22 @@ class CorpusEngine:
         if missing:
             if key[0] is not None:  # low-level families are many: keep one at a time
                 self._kept = {k: v for k, v in self._kept.items() if k[0][0] is None or k[0] == key}
-            family = self._build(key, hold)
-            if family.ctx is not None:
+            streams = self._build(key, hold)
+            if streams:
                 for s in sorted({s for s, _ in missing}):
-                    gated = family.streams[s].gate(floor)
+                    gated = streams[s].gate(floor)
                     priority = suppression_key(gated)
                     for gap in (g for t, g in missing if t == s):
                         self._kept[(key, s, gap)] = (floor, gated.thin(priority, gap))
         return self._contexts[key][1]
 
     def _plan(self, requests: Sequence[Tuple[AlgorithmId, DetectorParams]]
-              ) -> Iterator[Tuple[List[int], Errors, Union[Stage, Exception, None]]]:
+              ) -> Iterator[Tuple[List[int], Errors, Union[Stage, str, None]]]:
         """Prepare the family of every (algorithm, parameters) request and
         yield, per group of requests that differ only in their last stage's
         threshold, their positions, their family's failed recordings, and
-        their last stage (see ``_last_stage``); or the error of a parameter
-        the algorithm lacks, or None when the whole family failed.
+        their last stage (see ``_last_stage``); or why it failed when the
+        algorithm lacks a parameter, or None when the whole family failed.
 
         Requests are taken one ``smooth_single`` window at a time. Each
         family is prepared once, at its requests' lowest ``min_peak_amp``
@@ -269,7 +241,7 @@ class CorpusEngine:
                         try:
                             stage = self._last_stage(key, [requests[i] for i in group], merges)
                         except ValueError as exc:
-                            stage = exc.with_traceback(None)  # kept by the engine: hold no frames
+                            stage = str(exc)
                     yield group, errors, stage
 
     def _last_stage(self, key: Tuple, requests: Sequence[Tuple[AlgorithmId, DetectorParams]],
@@ -314,7 +286,7 @@ class CorpusEngine:
                 pass
         ctx, errors = self._contexts[key]
         if ctx is None:
-            raise _fresh(errors[0])
+            raise ValueError(errors[0])
         return ctx
 
     # -- detection ----------------------------------------------------------
@@ -345,9 +317,9 @@ class CorpusEngine:
             self.detect({alg: params})
         errors, steps = self._found[(alg, params)]
         if i in errors:
-            raise _fresh(errors[i])
-        if isinstance(steps, Exception):
-            raise _fresh(steps)
+            raise ValueError(errors[i])
+        if isinstance(steps, str):
+            raise ValueError(steps)
         return steps.peaks(i)
 
     # -- grid counts --------------------------------------------------------
@@ -364,9 +336,9 @@ class CorpusEngine:
         counts = np.empty((len(requests), n), dtype=np.int64)
         for rows, errors, stage in self._plan(requests):
             if errors:
-                raise _fresh(next(iter(errors.values())))
-            if isinstance(stage, Exception):
-                raise stage
+                raise ValueError(next(iter(errors.values())))
+            if isinstance(stage, str):
+                raise ValueError(stage)
             group, values, thresholds, _ = stage
             counts[rows] = _tally(group, values, thresholds, n)
         return counts

@@ -218,6 +218,20 @@ class TestSummaries:
         # With zero successful recordings there is nothing to summarize.
         assert AlgorithmId.HIGH_LEVEL_UNION not in result.summary.per_algorithm
 
+    def test_evaluate_corpus_propagates_a_bug(self, small_corpus, monkeypatch):
+        """Only a failed recording's ValueError becomes an error row: any other
+        exception is a bug, and it propagates."""
+        engine = CorpusEngine(small_corpus)
+
+        def broken(*args):
+            raise TypeError("broken steps")
+
+        monkeypatch.setattr(engine, "steps", broken)
+        params = {AlgorithmId.NO_FUSION_LEFT: DetectorParams(smooth_single=0.1, min_peak_amp=0.12,
+                                                             min_peak_gap=0.4)}
+        with pytest.raises(TypeError, match="broken steps"):
+            evaluate_corpus(small_corpus, list(params), params, engine=engine)
+
     def test_recording_without_ground_truth_is_named(self, small_corpus):
         """Counting and error rows both need a label: a recording without
         ground truth is an error naming it, not an AttributeError."""

@@ -306,26 +306,48 @@ def test_fused_detectors_reuse_single_side_streams(small_corpus, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("side", list(Side))
-def test_overflowing_wrist_fails_its_recording_alone(side):
-    """A wrist whose magnitude overflows fails its recording alone, naming it
-    and the wrist: every other recording has the steps of an engine built
-    without it, and count_tensor still raises."""
-    dataset = simulate_corpus(CorpusSpec(task_counts=dict.fromkeys(WalkTask, 1), seed=0))
-    bad, good = dataset[0], dataset[1:]
-    sensor = bad.side(side)
+def overflowing(rec, side):
+    """``rec`` with one sample of ``side``'s wrist so large that its magnitude
+    overflows: every detector fails it, naming the wrist."""
+    sensor = rec.side(side)
     x = sensor.x.copy()
     x[50] = 1e200
-    bad = replace(bad, **{side.value: replace(sensor, x=x)})
+    message = f"recording {rec.id!r}, {side.value} wrist: values must be finite"
+    return replace(rec, **{side.value: replace(sensor, x=x)}), message, list(AlgorithmId)
+
+
+def misaligned(rec):
+    """``rec`` with one more right-wrist sample and the right start moved back
+    half a period, which ``Recording`` accepts: the wrists no longer align
+    sample for sample, so the low-level detectors fail it."""
+    sensor = rec.right
+    longer = {axis: np.append(getattr(sensor, axis), 0.0) for axis in "xyz"}
+    rec = replace(rec, right=replace(sensor, t0=sensor.t0 - 0.5 / sensor.rate, **longer))
+    message = f"recording {rec.id!r}: left and right signals must be aligned sample-for-sample"
+    return rec, message, list(LOW_LEVEL)
+
+
+@pytest.mark.parametrize("fault", [Side.LEFT, Side.RIGHT, "misaligned"])
+def test_overflowing_wrist_fails_its_recording_alone(fault):
+    """A wrist whose magnitude overflows, on either side, or a misaligned
+    wrist fails its recording alone, naming it, for each detector it breaks:
+    every other recording has the steps of an engine built without it, and
+    count_tensor still raises."""
+    dataset = simulate_corpus(CorpusSpec(task_counts=dict.fromkeys(WalkTask, 1), seed=0))
+    good = dataset[1:]
+    bad, message, failing = misaligned(dataset[0]) if fault == "misaligned" else overflowing(dataset[0], fault)
     engine, without = CorpusEngine([bad] + good), CorpusEngine(good)
-    message = f"recording {bad.id!r}, {side.value} wrist: values must be finite"
     for alg in AlgorithmId:
-        with pytest.raises(ValueError, match=message):
+        if alg in failing:
+            with pytest.raises(ValueError, match=message):
+                engine.steps(alg, bad.id, PARAM_POINTS[0])
+        else:
             engine.steps(alg, bad.id, PARAM_POINTS[0])
         assert ([engine.steps(alg, rec.id, PARAM_POINTS[0]) for rec in good]
                 == [without.steps(alg, rec.id, PARAM_POINTS[0]) for rec in good])
-        with pytest.raises(ValueError, match=message):
-            engine.count_tensor([(alg, PARAM_POINTS[0])])
+        if alg in failing:
+            with pytest.raises(ValueError, match=message):
+                engine.count_tensor([(alg, PARAM_POINTS[0])])
 
 
 def test_used_engine_is_freed_without_the_cycle_collector(small_corpus):
