@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -18,7 +19,8 @@ from .config import (
 from .core import AlgorithmId, DetectorParams, Recording, WalkTask, required_param_fields
 from .evaluate import summarize_counts
 from .io_formats import (
-    FormatError, _fmt, _read_json, context_to_json, dump_json, load_corpus, load_manifest, save_corpus,
+    FormatError, _read_json, context_to_json, csv_text, dump_json, float_text, load_corpus, load_manifest,
+    save_corpus,
 )
 from .pipeline import CorpusEngine
 from .simulate import simulate_corpus
@@ -108,6 +110,14 @@ def _params_for(alg: AlgorithmId, params_path: str) -> DetectorParams:
         raise FormatError(f"{where}: {exc}") from None
 
 
+def _labelled_columns(labels: List[str], *series: List[np.ndarray]) -> List[List[str]]:
+    """CSV columns for arrays grouped by label: ``labels[i]`` once per value
+    of ``series[0][i]``, then one float column per ``series``, its arrays in
+    order (``series[k][i]`` holds as many values for each ``k``)."""
+    label_column = [label for label, values in zip(labels, series[0], strict=True) for _ in range(len(values))]
+    return [label_column, *(float_text(np.concatenate([np.empty(0), *arrays])) for arrays in series)]
+
+
 def cmd_detect(args) -> int:
     alg = AlgorithmId(args.alg)
     params = _params_for(alg, args.params)
@@ -115,18 +125,15 @@ def cmd_detect(args) -> int:
     engine = CorpusEngine(dataset)
     # Every recording is detected before any output is opened, so a failure
     # leaves no partial files behind.
-    steps_by_rid = {rec.id: engine.steps(alg, rec.id, params) for rec in dataset}
+    found = [engine.steps(alg, rec.id, params) for rec in dataset]
+    rids = [rec.id for rec in dataset]
+    steps_text = csv_text("recording_id,time,amplitude", _labelled_columns(
+        rids, [steps.times for steps in found], [steps.amplitudes for steps in found]))
+    counts_text = csv_text("recording_id,count", [rids, [str(len(steps)) for steps in found]])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / f"steps_{alg.value}.csv", "w", newline="") as steps_f, open(
-        out / f"counts_{alg.value}.csv", "w", newline=""
-    ) as counts_f:
-        steps_f.write("recording_id,time,amplitude\n")
-        counts_f.write("recording_id,count\n")
-        for rid, steps in steps_by_rid.items():
-            counts_f.write(f"{rid},{len(steps)}\n")
-            for t, a in zip(steps.times, steps.amplitudes):
-                steps_f.write(f"{rid},{_fmt(t)},{_fmt(a)}\n")
+    (out / f"steps_{alg.value}.csv").write_text(steps_text, newline="")
+    (out / f"counts_{alg.value}.csv").write_text(counts_text, newline="")
     ctx = engine.context_for(alg, params)
     dump_json(
         out / f"detect_{alg.value}.json",
@@ -140,11 +147,28 @@ def cmd_detect(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An integer count of 0 or more; anything else raises ValueError."""
+    count = int(text)
+    if count < 0:
+        raise ValueError(text)
+    return count
+
+
+def _finite(text: str) -> float:
+    """A finite number; anything else raises ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _read_detections(det_dir: Path, corpus_ids: Sequence[str]):
     """Every ``counts_<alg>.csv`` in ``det_dir``, which must list each
     recording of the corpus once, and its ``steps_<alg>.csv`` when present.
     Every row must name a recording of the corpus, so a steps row also names
-    one of its counts file."""
+    one of its counts file. Counts must be 0 or more, and each recording's
+    step times finite and strictly increasing."""
     corpus = set(corpus_ids)
     counts_by_alg: Dict[AlgorithmId, Dict[str, int]] = {}
     times_by_alg: Dict[AlgorithmId, Dict[str, list]] = {}
@@ -175,7 +199,7 @@ def _read_detections(det_dir: Path, corpus_ids: Sequence[str]):
             raise FormatError(f"{counts_path}: not a detector's counts; the detectors are "
                               f"{', '.join(a.value for a in AlgorithmId)}") from None
         counts: Dict[str, int] = {}
-        for lineno, rid, count in rows(counts_path, 2, int, "an integer count"):
+        for lineno, rid, count in rows(counts_path, 2, _count, "an integer count of 0 or more"):
             if rid in counts:
                 raise FormatError(f"{counts_path}:{lineno}: recording {rid!r} is listed twice")
             counts[rid] = count
@@ -186,7 +210,10 @@ def _read_detections(det_dir: Path, corpus_ids: Sequence[str]):
         steps_path = det_dir / f"steps_{alg.value}.csv"
         if steps_path.exists():
             times: Dict[str, list] = {rid: [] for rid in counts}
-            for _, rid, t in rows(steps_path, 3, float, "a number"):
+            for lineno, rid, t in rows(steps_path, 3, _finite, "a finite number"):
+                if times[rid] and t <= times[rid][-1]:
+                    raise FormatError(f"{steps_path}:{lineno}: time {t!r} is not after the previous step of "
+                                      f"recording {rid!r} at {times[rid][-1]!r}")
                 times[rid].append(t)
             times_by_alg[alg] = times
     if not counts_by_alg:
@@ -226,20 +253,20 @@ def cmd_evaluate(args) -> int:
         },
     }
     dump_json(out / "summary.json", summary)
-    with open(out / "results_long.csv", "w", newline="") as f:
-        f.write("recording_id,task,algorithm,count,label,pct_error\n")
-        for row in sorted(result.rows, key=lambda r: (r.algorithm.value, r.recording_id)):
-            err = "" if row.pct_error is None else _fmt(row.pct_error)
-            count = "" if row.count is None else row.count
-            f.write(
-                f"{row.recording_id},{row.task.value},{row.algorithm.value},{count},{row.label},{err}\n"
-            )
-    with open(out / "phase_offsets.csv", "w", newline="") as f:
-        f.write("algorithm,dt_heel,dt_toe\n")
-        for alg in sorted(result.phase, key=lambda a: a.value):
-            rep = result.phase[alg]
-            for h, t in zip(rep.dt_heel, rep.dt_toe):
-                f.write(f"{alg.value},{_fmt(h)},{_fmt(t)}\n")
+    rows = sorted(result.rows, key=lambda r: (r.algorithm.value, r.recording_id))
+    scored = iter(float_text([row.pct_error for row in rows if row.pct_error is not None]))
+    (out / "results_long.csv").write_text(csv_text("recording_id,task,algorithm,count,label,pct_error", [
+        [row.recording_id for row in rows],
+        [row.task.value for row in rows],
+        [row.algorithm.value for row in rows],
+        ["" if row.count is None else str(row.count) for row in rows],
+        [str(row.label) for row in rows],
+        ["" if row.pct_error is None else next(scored) for row in rows],
+    ]), newline="")
+    algs = sorted(result.phase, key=lambda a: a.value)
+    (out / "phase_offsets.csv").write_text(csv_text("algorithm,dt_heel,dt_toe", _labelled_columns(
+        [alg.value for alg in algs], [result.phase[alg].dt_heel for alg in algs],
+        [result.phase[alg].dt_toe for alg in algs])), newline="")
     print(f"evaluated {len(counts_by_alg)} algorithm(s); summary in {out}")
     return 0
 

@@ -16,7 +16,7 @@ import json
 import math
 from itertools import filterfalse
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,21 +33,35 @@ class FormatError(ValueError):
     """Malformed or inconsistent on-disk data."""
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def float_text(values) -> List[str]:
+    """The CSV text of a float column: ``repr`` of each value as a Python
+    float, which is the shortest text that parses back to the same double."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def csv_text(header: str, columns: Sequence[List[str]]) -> str:
+    """``header``, then one line per row of ``columns``, which are lists of
+    field text of one length; every line ends in a newline."""
+    rows = "\n".join(map(",".join, zip(*columns, strict=True)))
+    return f"{header}\n{rows}\n" if columns[0] else f"{header}\n"
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_series(out_dir: Path, stem: str, series: TriaxialSeries) -> Dict[str, str]:
-    """Write ``stem.csv`` and its binary copy ``stem.npy``; returns the sha256
-    of each by file name."""
+def _time_column(series: TriaxialSeries) -> Tuple[np.ndarray, List[str]]:
+    """A wrist's timestamps ``t0 + i/rate`` and their CSV text."""
     times = series.t0 + np.arange(len(series)) / series.rate
-    text = "t,ax,ay,az\n" + "".join(
-        f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(z)}\n" for t, x, y, z in zip(times, series.x, series.y, series.z)
-    )
+    return times, float_text(times)
+
+
+def _write_series(out_dir: Path, stem: str, series: TriaxialSeries,
+                  time_column: Tuple[np.ndarray, List[str]]) -> Dict[str, str]:
+    """Write ``stem.csv`` and its binary copy ``stem.npy``, with the
+    ``time_column`` of ``series``; returns the sha256 of each by file name."""
+    times, time_text = time_column
+    text = csv_text(",".join(_COLUMNS), [time_text, float_text(series.x), float_text(series.y), float_text(series.z)])
     npy = io.BytesIO()
     # The C-ordered (n, 4) float64 table that parsing the CSV yields.
     np.save(npy, np.column_stack([times, series.x, series.y, series.z]))
@@ -215,8 +229,14 @@ def save_recording(rec: Recording, out_dir) -> Dict[str, str]:
         "right": f"{rec.id}_right.csv",
         "sidecar": f"{rec.id}.json",
     }
-    digests = {**_write_series(out_dir, f"{rec.id}_left", rec.left),
-               **_write_series(out_dir, f"{rec.id}_right", rec.right)}
+    left_times = _time_column(rec.left)
+    # Element i of t0 + arange(n)/rate depends on t0, rate and i alone, so
+    # wrists with one time base share one formatted column. (t0 = -0.0 and
+    # 0.0 compare equal and give the same sums: -0.0 + 0.0 is 0.0.)
+    same_base = (rec.right.t0, rec.right.rate, len(rec.right)) == (rec.left.t0, rec.left.rate, len(rec.left))
+    right_times = left_times if same_base else _time_column(rec.right)
+    digests = {**_write_series(out_dir, f"{rec.id}_left", rec.left, left_times),
+               **_write_series(out_dir, f"{rec.id}_right", rec.right, right_times)}
     sidecar = {
         "format_version": FORMAT_VERSION,
         "id": rec.id,

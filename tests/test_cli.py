@@ -4,8 +4,11 @@ import shutil
 
 import pytest
 
+from dualwrist import AlgorithmId
 from dualwrist.cli import cli_main
-from dualwrist.config import write_config
+from dualwrist.config import grid_from_config, write_config
+from dualwrist.io_formats import load_corpus
+from dualwrist.tuning import cross_validate_study
 
 SMALL_CFG = {
     "version": 1,
@@ -92,6 +95,21 @@ class TestTune:
         tuned = json.loads((root / "tuned" / "tuned_params.json").read_text())
         assert set(tuned) == {"union"}
         assert tuned["union"] == report["mean_params"]
+
+    def test_folds_and_seed_override_the_config(self, workspace, tmp_path):
+        root, cfg = workspace
+        assert cli_main([
+            "tune", "--corpus", str(root / "corpus"), "--out", str(tmp_path), "--alg", "union",
+            "--config", str(cfg), "--folds", "2", "--seed", "5",
+        ]) == 0
+        report = json.loads((tmp_path / "cv_union.json").read_text())
+        assert len(report["fold_params"]) == 2 != SMALL_CFG["cv"]["folds"]
+        union, corpus, grid = AlgorithmId.HIGH_LEVEL_UNION, load_corpus(root / "corpus"), grid_from_config(SMALL_CFG)
+        expected = cross_validate_study(corpus, [union], grid, k=2, seed=5)[union]
+        assert report == json.loads(json.dumps(expected.to_dict()))
+        # The seed moved the folds: the config's seed gives another report.
+        of_config_seed = cross_validate_study(corpus, [union], grid, k=2, seed=SMALL_CFG["cv"]["seed"])[union]
+        assert report != json.loads(json.dumps(of_config_seed.to_dict()))
 
 
 class TestDetect:
@@ -380,6 +398,12 @@ BAD_INPUTS = [
      "steps_union.csv:2:"),
     ("steps_time_not_number", "steps_union.csv", lambda row: row.split(",")[0] + ",x,1.0", "evaluate",
      "steps_union.csv:2:"),
+    ("steps_time_nan", "steps_union.csv", lambda row: row.split(",")[0] + ",nan,1.0", "evaluate",
+     "steps_union.csv:2: 'nan' is not a finite number"),
+    ("steps_time_past_the_next_row", "steps_union.csv", lambda row: row.split(",")[0] + ",1e9,1.0", "evaluate",
+     "steps_union.csv:3: time "),
+    ("counts_negative", "counts_union.csv", lambda row: row.rsplit(",", 1)[0] + ",-7", "evaluate",
+     "counts_union.csv:2: '-7' is not an integer count of 0 or more"),
     ("sidecar_without_ground_truth", "corpus/slow_pace_001.json", _sidecar(ground_truth=None), "evaluate",
      "recording 'slow_pace_001' has no ground truth"),
     ("sidecar_without_ground_truth_tune", "corpus/slow_pace_001.json", _sidecar(ground_truth=None), "tune corpus",

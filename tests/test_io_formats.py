@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -242,6 +243,49 @@ def test_round_trip_is_bit_exact(rec, values, rate, t0):
             assert (a.rate, a.t0) == (b.rate, b.t0)
             for axis in ("x", "y", "z"):
                 assert np.array_equal(getattr(a, axis).view(np.int64), getattr(b, axis).view(np.int64))
+
+
+def _csv_by_row(series):
+    """One wrist's CSV text as ``save_recording`` first wrote it, one f-string
+    of per-value ``repr(float(v))`` per row: the oracle for the column-wise
+    writer and its shared time column."""
+    times = series.t0 + np.arange(len(series)) / series.rate
+    return "t,ax,ay,az\n" + "".join(
+        f"{repr(float(t))},{repr(float(x))},{repr(float(y))},{repr(float(z))}\n"
+        for t, x, y, z in zip(times, series.x, series.y, series.z)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.tuples(doubles, doubles, doubles, doubles, doubles, doubles), min_size=1, max_size=20),
+    rate=st.floats(min_value=1.0, max_value=1000.0),
+    t0=st.floats(min_value=-1e3, max_value=1e3) | st.sampled_from([0.0, -0.0]),
+    right_base=st.sampled_from(["same", "signed_zero_t0", "later_t0", "one_more_sample", "one_less_sample"]),
+)
+def test_csv_bytes_match_the_per_row_writer(rec, values, rate, t0, right_base):
+    # Every example holds the values whose shortest text is most unlike %g.
+    cols = np.array([(-0.0, 5e-324, 1e16, 1e-5, 1e16, 1e-5)] + values).T
+    n = len(values) + 1
+    right_t0, right_n = {
+        "same": (t0, n),
+        "signed_zero_t0": (-t0 if t0 == 0 else t0, n),
+        "later_t0": (t0 + 0.25 / rate, n),
+        "one_more_sample": (t0 - 0.5 / rate, n + 1),
+        "one_less_sample": (t0 + 0.5 / rate, n - 1),
+    }[right_base]
+    right_cols = np.resize(cols[3:], (3, right_n))
+    left = TriaxialSeries(rate=rate, x=cols[0], y=cols[1], z=cols[2], t0=t0)
+    right = TriaxialSeries(rate=rate, x=right_cols[0], y=right_cols[1], z=right_cols[2], t0=right_t0)
+    original = dataclasses.replace(rec, left=left, right=right, duration=left.span)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        io_formats, "_time_column", wraps=io_formats._time_column
+    ) as time_column:
+        save_corpus([original], tmp)
+        for side, series in (("left", left), ("right", right)):
+            assert Path(tmp, f"{rec.id}_{side}.csv").read_bytes() == _csv_by_row(series).encode()
+    shared = right_base in ("same", "signed_zero_t0")
+    assert time_column.call_count == (1 if shared else 2)
 
 
 def _table_checks_by_row(table, rate, t0, sidecar_path):
