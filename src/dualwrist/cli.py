@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -19,8 +18,8 @@ from .config import (
 from .core import AlgorithmId, DetectorParams, Recording, WalkTask, required_param_fields
 from .evaluate import summarize_counts
 from .io_formats import (
-    FormatError, _read_json, context_to_json, csv_text, dump_json, float_text, load_corpus, load_manifest,
-    save_corpus,
+    CsvTable, FormatError, _read_json, context_to_json, csv_text, dump_json, float_text, load_corpus,
+    load_manifest, save_corpus,
 )
 from .pipeline import CorpusEngine
 from .simulate import simulate_corpus
@@ -51,15 +50,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_labelled_corpus(corpus_dir) -> List[Recording]:
+def _load_labelled_corpus(corpus_dir, scored: bool = False) -> List[Recording]:
     """The corpus in ``corpus_dir``; each recording needs ground truth to be
-    scored against, and one without it fails naming its sidecar."""
+    tuned against, and a labelled step too when its count is ``scored`` by
+    percent error. The first that lacks them fails naming its sidecar."""
     dataset = load_corpus(corpus_dir)
-    unlabelled = next((i for i, rec in enumerate(dataset) if rec.ground_truth is None), None)
-    if unlabelled is not None:  # load_corpus keeps the manifest's order
-        entry = list(load_manifest(corpus_dir)["recordings"].values())[unlabelled]
-        raise FormatError(f"{Path(corpus_dir) / entry['files']['sidecar']}: recording "
-                          f"{dataset[unlabelled].id!r} has no ground truth")
+    for i, rec in enumerate(dataset):  # load_corpus keeps the manifest's order
+        if rec.ground_truth is None:
+            problem = "has no ground truth"
+        elif scored and rec.ground_truth.label_count == 0:
+            problem = "has no labelled steps, so its count has no percent error"
+        else:
+            continue
+        entry = list(load_manifest(corpus_dir)["recordings"].values())[i]
+        raise FormatError(f"{Path(corpus_dir) / entry['files']['sidecar']}: recording {rec.id!r} {problem}")
     return dataset
 
 
@@ -147,91 +151,72 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """An integer count of 0 or more; anything else raises ValueError."""
-    count = int(text)
-    if count < 0:
-        raise ValueError(text)
-    return count
+def _detection_rows(path: Path, column: str, corpus_ids: Sequence[str], dtype: type = float) -> CsvTable:
+    """``path``'s rows, each of which must name a recording of the corpus."""
+    rows = CsvTable(path, [column], label="recording_id", dtype=dtype)
+    rows.check(~np.isin(rows.labels, corpus_ids), lambda row: f"recording {rows.labels[row]!r} is not in the corpus")
+    return rows
 
 
-def _finite(text: str) -> float:
-    """A finite number; anything else raises ValueError."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
+def _step_times(steps: CsvTable, counts: Dict[str, int], counts_path: Path) -> Dict[str, np.ndarray]:
+    """The step times of each recording of ``counts`` in ``steps``, in file
+    order; they must be finite, strictly increasing and one per step that
+    ``counts_path`` counts."""
+    t = steps.values[:, 0]
+    steps.check(~np.isfinite(t), lambda row: f"{steps.field(row, 'time')!r} is not a finite number")
+    labels = np.array(steps.labels, dtype=str)
+    order = np.argsort(labels, kind="stable")  # each recording's rows together, in file order
+    prev = np.full(len(t), -np.inf)  # the time of the previous row of the row's recording
+    prev[order[1:]] = np.where(labels[order[1:]] == labels[order[:-1]], t[order[:-1]], -np.inf)
+    steps.check(t <= prev, lambda row: f"time {float(t[row])!r} is not after the previous step of "
+                                       f"recording {steps.labels[row]!r} at {float(prev[row])!r}")
+    times = {rid: t[labels == rid] for rid in counts}
+    miscounted = next((rid for rid, count in counts.items() if len(times[rid]) != count), None)
+    if miscounted is not None:
+        raise FormatError(f"{steps.path}: recording {miscounted!r} has {len(times[miscounted])} steps, "
+                          f"but {counts_path} counts {counts[miscounted]}")
+    return times
 
 
 def _read_detections(det_dir: Path, corpus_ids: Sequence[str]):
     """Every ``counts_<alg>.csv`` in ``det_dir``, which must list each
-    recording of the corpus once, and its ``steps_<alg>.csv`` when present.
-    Every row must name a recording of the corpus, so a steps row also names
-    one of its counts file. Counts must be 0 or more, and each recording's
-    step times finite and strictly increasing."""
-    corpus = set(corpus_ids)
+    recording of the corpus once, and its ``steps_<alg>.csv`` when that has
+    rows. Every row must name a recording of the corpus. Counts must be 0 or
+    more, and each recording's step times finite, strictly increasing and as
+    many as its count."""
     counts_by_alg: Dict[AlgorithmId, Dict[str, int]] = {}
-    times_by_alg: Dict[AlgorithmId, Dict[str, list]] = {}
-
-    def rows(path: Path, n_fields: int, convert, what: str):
-        """``(line, recording id, value)`` per data row, ``convert`` applied
-        to the row's second field; a bad row raises naming the file and line."""
-        with open(path) as f:
-            f.readline()
-            for lineno, line in enumerate(f, start=2):
-                fields = line.strip().rsplit(",", n_fields - 1)
-                if len(fields) != n_fields:
-                    raise FormatError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
-                if fields[0] not in corpus:
-                    raise FormatError(
-                        f"{path}:{lineno}: recording {fields[0]!r} is not in the corpus"
-                    )
-                try:
-                    value = convert(fields[1])
-                except ValueError:
-                    raise FormatError(f"{path}:{lineno}: {fields[1]!r} is not {what}") from None
-                yield lineno, fields[0], value
-
+    times_by_alg: Dict[AlgorithmId, Dict[str, np.ndarray]] = {}
     for counts_path in sorted(det_dir.glob("counts_*.csv")):
         try:
             alg = AlgorithmId(counts_path.stem.replace("counts_", ""))
         except ValueError:
             raise FormatError(f"{counts_path}: not a detector's counts; the detectors are "
                               f"{', '.join(a.value for a in AlgorithmId)}") from None
-        counts: Dict[str, int] = {}
-        for lineno, rid, count in rows(counts_path, 2, _count, "an integer count of 0 or more"):
-            if rid in counts:
-                raise FormatError(f"{counts_path}:{lineno}: recording {rid!r} is listed twice")
-            counts[rid] = count
+        rows = _detection_rows(counts_path, "count", corpus_ids, int)
+        rows.check(rows.values[:, 0] < 0,
+                   lambda row: f"{rows.field(row, 'count')!r} is not an integer count of 0 or more")
+        first = np.unique(rows.labels, return_index=True)[1]  # each recording's first row
+        rows.check(~np.isin(np.arange(len(rows.labels)), first),
+                   lambda row: f"recording {rows.labels[row]!r} is listed twice")
+        counts = dict(zip(rows.labels, rows.values[:, 0].tolist()))
         missing = next((rid for rid in corpus_ids if rid not in counts), None)
         if missing is not None:
             raise FormatError(f"{counts_path}: recording {missing!r} of the corpus is missing")
         counts_by_alg[alg] = counts
         steps_path = det_dir / f"steps_{alg.value}.csv"
-        if steps_path.exists():
-            times: Dict[str, list] = {rid: [] for rid in counts}
-            for lineno, rid, t in rows(steps_path, 3, _finite, "a finite number"):
-                if times[rid] and t <= times[rid][-1]:
-                    raise FormatError(f"{steps_path}:{lineno}: time {t!r} is not after the previous step of "
-                                      f"recording {rid!r} at {times[rid][-1]!r}")
-                times[rid].append(t)
-            times_by_alg[alg] = times
+        steps = _detection_rows(steps_path, "time", corpus_ids) if steps_path.exists() else None
+        if steps is not None and steps.lines:  # a steps file without rows holds no step times
+            times_by_alg[alg] = _step_times(steps, counts, counts_path)
     if not counts_by_alg:
-        raise FormatError(
-            f"no detection outputs (counts_*.csv) found in {det_dir}; run `detect` first"
-        )
+        raise FormatError(f"no detection outputs (counts_*.csv) found in {det_dir}; run `detect` first")
     return counts_by_alg, times_by_alg
 
 
 def cmd_evaluate(args) -> int:
-    dataset = _load_labelled_corpus(args.corpus)
+    dataset = _load_labelled_corpus(args.corpus, scored=True)
     det_dir = Path(args.detections)
     counts_by_alg, times_by_alg = _read_detections(det_dir, [rec.id for rec in dataset])
-    phase_times = {
-        alg: {rid: np.array(ts) for rid, ts in by_rid.items()}
-        for alg, by_rid in times_by_alg.items()
-    }
-    result = summarize_counts(counts_by_alg, dataset, phase_times)
+    result = summarize_counts(counts_by_alg, dataset, times_by_alg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {

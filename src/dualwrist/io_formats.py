@@ -14,9 +14,8 @@ import hashlib
 import io
 import json
 import math
-from itertools import filterfalse
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,19 +71,19 @@ def _write_series(out_dir: Path, stem: str, series: TriaxialSeries,
     return digests
 
 
-def _loadtxt(rows: List[str], usecols: Optional[List[int]] = None) -> np.ndarray:
-    return np.loadtxt(rows, delimiter=",", comments=None, usecols=usecols, ndmin=2)
+def _loadtxt(rows: List[str], usecols: Optional[List[int]] = None, dtype: type = float) -> np.ndarray:
+    return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=2)
 
 
-def _row_error(rows: List[str], ncols: int) -> Tuple[int, str]:
-    """The first row that is not ``ncols`` numbers, and what is wrong with it.
+def _row_error(rows: List[str], ncols: int, dtype: type = float) -> Tuple[int, str]:
+    """The first row that is not ``ncols`` numbers of ``dtype``, and what is wrong with it.
 
     Found by bisection on row prefixes, so that ``np.loadtxt`` stays the one
     parser and its error text is never read.
     """
     def parses(part: List[str], usecols: Optional[List[int]] = None) -> bool:
         try:
-            return _loadtxt(part, usecols).shape[1] == (ncols if usecols is None else 1)
+            return _loadtxt(part, usecols, dtype).shape[1] == (ncols if usecols is None else 1)
         except ValueError:
             return False
 
@@ -96,18 +95,53 @@ def _row_error(rows: List[str], ncols: int) -> Tuple[int, str]:
     if len(fields) != ncols:
         return good, f"expected {ncols} fields"
     col = next(c for c in range(ncols) if not parses([rows[good]], [c]))
-    return good, f"could not convert string to float: {fields[col]!r}"
+    return good, f"could not convert string to {dtype.__name__}: {fields[col]!r}"
 
 
-def _line_of(lines: List[str], row: int) -> int:
-    """The 1-based file line of data row ``row``; ``lines`` follow the header."""
-    return [n for n, line in enumerate(lines, start=2) if not line.isspace()][row]
+class CsvTable:
+    """A CSV file's data rows, read once with blank lines skipped: each row's
+    ``columns``, which the header must name, in ``values``; its ``label``
+    field, the header's first column, in ``labels`` (a label may hold commas);
+    and its 1-based file line in ``lines``. ``np.loadtxt`` parses every other
+    field as a ``dtype``, ``float`` or ``int``, which numpy reads as 64-bit.
+    Errors name the file, and a bad row's line.
+    """
 
+    def __init__(self, path: Path, columns: Sequence[str], label: Optional[str] = None, dtype: type = float):
+        with open(path) as f:
+            header = f.readline().strip().split(",")
+            lines = f.readlines()
+        for col in columns:
+            if col not in header:
+                raise FormatError(f"{path}: missing column {col!r}")
+        if label is not None and header[0] != label:
+            raise FormatError(f"{path}: the first column must be {label!r}")
+        self.path = path
+        self.lines = [n for n, line in enumerate(lines, start=2) if not line.isspace()]
+        rows = [lines[n - 2] for n in self.lines]
+        self.labels = [row.strip().rsplit(",", len(header) - 1)[0] for row in rows] if label is not None else []
+        if label is not None:  # a 0 in the label's place keeps each row's field count for np.loadtxt
+            rows = ["0" + row.strip()[len(text):] for row, text in zip(rows, self.labels)]
+        self._header, self._rows = header, rows
+        try:
+            data = _loadtxt(rows, dtype=dtype) if rows else np.empty((0, len(header)), dtype)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != len(header):
+            row, message = _row_error(rows, len(header), dtype)
+            raise FormatError(f"{path}:{self.lines[row]}: {message}")
+        self.values = data[:, [header.index(col) for col in columns]]
 
-def _check(path: Path, lines: List[str], bad: np.ndarray, message: str) -> None:
-    """Raise at the file line of the first data row where ``bad`` holds."""
-    if bad.any():
-        raise FormatError(f"{path}:{_line_of(lines, int(bad.argmax()))}: {message}")
+    def field(self, row: int, column: str) -> str:
+        """The text of number ``column`` in data row ``row``."""
+        return self._rows[row].strip().split(",")[self._header.index(column)]
+
+    def check(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
+        """Raise ``message(row)`` at the file line of the first data row
+        where ``bad`` holds."""
+        if bad.any():
+            row = int(bad.argmax())
+            raise FormatError(f"{self.path}:{self.lines[row]}: {message(row)}")
 
 
 def _table_checks(table: np.ndarray, rate: float, t0: float, sidecar_path: Path):
@@ -159,26 +193,12 @@ def _read_copy(csv_path: Path, digests: dict, rate: float, t0: float, sidecar_pa
 
 def _parse_csv(path: Path, rate: float, t0: float, sidecar_path: Path) -> np.ndarray:
     """The checked ``t, ax, ay, az`` table of a CSV; errors name the file line."""
-    with open(path) as f:
-        cols = f.readline().strip().split(",")
-        lines = f.readlines()
-    for col in _COLUMNS:
-        if col not in cols:
-            raise FormatError(f"{path}: missing column {col!r}")
-    rows = list(filterfalse(str.isspace, lines))
-    if not rows:
+    rows = CsvTable(path, _COLUMNS)
+    if not rows.lines:
         raise FormatError(f"{path}: no samples")
-    try:
-        data = _loadtxt(rows)
-    except ValueError:
-        data = None
-    if data is None or data.shape[1] != len(cols):
-        row, message = _row_error(rows, len(cols))
-        raise FormatError(f"{path}:{_line_of(lines, row)}: {message}")
-    table = data[:, [cols.index(c) for c in _COLUMNS]]
-    for bad, message in _table_checks(table, rate, t0, sidecar_path):
-        _check(path, lines, bad, message)
-    return table
+    for bad, message in _table_checks(rows.values, rate, t0, sidecar_path):
+        rows.check(bad, lambda row: message)
+    return rows.values
 
 
 def _gt_to_json(gt: Optional[GroundTruth]) -> Optional[dict]:

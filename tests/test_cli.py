@@ -2,6 +2,7 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from dualwrist import AlgorithmId
@@ -356,6 +357,10 @@ def _shift_left_t0(text):
     return json.dumps({**meta, "left": {**meta["left"], "t0": meta["left"]["t0"] + 1.0}})
 
 
+_NO_LABELLED_STEPS = {"step_times": [], "heel_strikes_left": [], "heel_strikes_right": [],
+                      "toe_offs_left": [], "toe_offs_right": [], "label_count": 0}
+
+
 def _manifest_file(rid, role, name):
     """An edit of the manifest's text that sets recording ``rid``'s ``role``
     file to ``name``."""
@@ -404,10 +409,20 @@ BAD_INPUTS = [
      "steps_union.csv:3: time "),
     ("counts_negative", "counts_union.csv", lambda row: row.rsplit(",", 1)[0] + ",-7", "evaluate",
      "counts_union.csv:2: '-7' is not an integer count of 0 or more"),
+    ("counts_digit_group", "counts_union.csv", lambda row: row.rsplit(",", 1)[0] + ",1_38", "evaluate",
+     "counts_union.csv:2:"),
+    ("steps_time_digit_group", "steps_union.csv", lambda row: row.split(",")[0] + ",0_1,1.0", "evaluate",
+     "steps_union.csv:2:"),
+    ("steps_amplitude_not_number", "steps_union.csv", lambda row: row.rsplit(",", 1)[0] + ",abc", "evaluate",
+     "steps_union.csv:2:"),
+    ("counts_disagree_with_steps", "counts_union.csv", lambda row: row.rsplit(",", 1)[0] + ",1000000",
+     "evaluate", "counts_union.csv counts 1000000"),
     ("sidecar_without_ground_truth", "corpus/slow_pace_001.json", _sidecar(ground_truth=None), "evaluate",
      "recording 'slow_pace_001' has no ground truth"),
     ("sidecar_without_ground_truth_tune", "corpus/slow_pace_001.json", _sidecar(ground_truth=None), "tune corpus",
      "recording 'slow_pace_001' has no ground truth"),
+    ("sidecar_without_labelled_steps", "corpus/slow_pace_001.json", _sidecar(ground_truth=_NO_LABELLED_STEPS),
+     "evaluate", "recording 'slow_pace_001' has no labelled steps"),
     ("corpus_off_grid_timestamp", "corpus/slow_pace_001_left.csv",
      _in_row(2, lambda row: "-1.0," + row.split(",", 1)[1]), "evaluate",
      "slow_pace_001_left.csv:2: timestamp is not t0 + i/rate"),
@@ -471,3 +486,67 @@ def test_bad_input_fails_cleanly(workspace, tmp_path, capsys, case, name, conten
     err = capsys.readouterr().err
     assert str(bad) in err and expected in err
     assert "Traceback" not in err
+
+
+def test_blank_lines_in_detections_are_skipped(workspace, tmp_path):
+    """Trailing blank and whitespace-only lines in the detections files
+    leave every byte that evaluate writes unchanged."""
+    root, _ = workspace
+    det = tmp_path / "det"
+    shutil.copytree(root / "det", det)
+    for name in ("counts_union.csv", "steps_union.csv"):
+        with open(det / name, "a") as f:
+            f.write("\n \t\n\n")
+    for src, out in ((root / "det", tmp_path / "eval"), (det, tmp_path / "eval_blank")):
+        assert cli_main(["evaluate", "--corpus", str(root / "corpus"), "--detections", str(src),
+                         "--out", str(out)]) == 0
+    assert _tree(tmp_path / "eval_blank") == _tree(tmp_path / "eval")
+
+
+def test_tune_accepts_a_recording_without_labelled_steps(workspace, tmp_path):
+    root, cfg = workspace
+    corpus = tmp_path / "corpus"
+    shutil.copytree(root / "corpus", corpus)
+    sidecar = corpus / "slow_pace_001.json"
+    sidecar.write_text(_sidecar(ground_truth=_NO_LABELLED_STEPS)(sidecar.read_text()))
+    assert cli_main(["tune", "--corpus", str(corpus), "--out", str(tmp_path / "tuned"),
+                     "--alg", "left", "--config", str(cfg)]) == 0
+
+
+def _loadtxt_value(token, dtype):
+    """``token`` as ``np.loadtxt`` reads one field of ``dtype``, or None
+    when it rejects it."""
+    try:
+        return np.loadtxt([token], dtype=dtype, delimiter=",", comments=None).item()
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "+7", " 7", "7.0", "1e1", "nan", "inf"])
+@pytest.mark.parametrize("field", ["count", "time"])
+def test_detections_read_numbers_as_loadtxt_does(workspace, tmp_path, capsys, field, token):
+    """A count is read exactly when ``np.loadtxt`` reads it as an int64 of
+    0 or more, and a step time exactly when it reads it as a finite float."""
+    root, _ = workspace
+    det = tmp_path / "det"
+    det.mkdir()
+    counts = (root / "det" / "counts_union.csv").read_text().splitlines()
+    rid = counts[1].split(",")[0]
+    if field == "count":
+        value = _loadtxt_value(token, np.int64)
+        accepted = value is not None and value >= 0
+        counts[1] = f"{rid},{token}"
+    else:
+        # One step, of the first recording, so no order or count check applies.
+        value = _loadtxt_value(token, np.float64)
+        accepted = value is not None and np.isfinite(value)
+        counts[1:] = [f"{row.split(',')[0]},{int(n == 1)}" for n, row in enumerate(counts[1:], start=1)]
+        (det / "steps_union.csv").write_text(f"recording_id,time,amplitude\n{rid},{token},1.0\n")
+    (det / "counts_union.csv").write_text("\n".join(counts) + "\n")
+    code = cli_main(["evaluate", "--corpus", str(root / "corpus"), "--detections", str(det),
+                     "--out", str(tmp_path / "eval")])
+    err = capsys.readouterr().err
+    assert code == (0 if accepted else 1), err
+    if not accepted:
+        bad = "counts_union.csv:2:" if field == "count" else "steps_union.csv:2:"
+        assert bad in err and "Traceback" not in err

@@ -16,6 +16,7 @@ from dualwrist import CorpusSpec, TriaxialSeries, WalkTask, io_formats, simulate
 from dualwrist.io_formats import (
     FORMAT_VERSION,
     MANIFEST_NAME,
+    CsvTable,
     FormatError,
     dump_json,
     load_corpus,
@@ -403,14 +404,49 @@ class TestCorpusRoundTrip:
             assert entry["task"] == rec.task.value
 
 
+class TestCsvTable:
+    def test_rows_keep_their_labels_and_file_lines(self, tmp_path):
+        path = tmp_path / "steps.csv"
+        path.write_text("recording_id,time,amplitude\n\na,b,0.5,1.0\n \t\nc,1.5,2.0\n\n")
+        rows = CsvTable(path, ["time"], label="recording_id")
+        assert rows.labels == ["a,b", "c"]  # a label keeps its commas
+        assert rows.lines == [3, 5]
+        assert rows.values.tolist() == [[0.5], [1.5]]
+        assert rows.field(1, "amplitude") == "2.0"
+
+    def test_counts_parse_as_int64(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("recording_id,count\na,+7\nb, 3\n")
+        rows = CsvTable(path, ["count"], label="recording_id", dtype=int)
+        assert rows.values.dtype == np.int64 and rows.values.tolist() == [[7], [3]]
+
+    def test_bad_row_names_its_file_line(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("recording_id,count\n\na,1\nb,2.5\n")
+        with pytest.raises(FormatError, match=r"counts.csv:4: could not convert string to int: '2.5'$"):
+            CsvTable(path, ["count"], label="recording_id", dtype=int)
+
+    def test_label_must_be_the_first_column(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("count,recording_id\n1,a\n")
+        with pytest.raises(FormatError, match="the first column must be 'recording_id'"):
+            CsvTable(path, ["count"], label="recording_id", dtype=int)
+
+    def test_file_without_rows_gives_no_values(self, tmp_path):
+        path = tmp_path / "steps.csv"
+        path.write_text("recording_id,time,amplitude\n\n")
+        rows = CsvTable(path, ["time"], label="recording_id")
+        assert rows.labels == [] and rows.lines == [] and rows.values.shape == (0, 1)
+
+
 def _count_parses(monkeypatch):
     """A list that grows by one for each CSV ``io_formats`` parses."""
     parses = []
     parse = io_formats._loadtxt
 
-    def counted(rows, usecols=None):
+    def counted(rows, usecols=None, dtype=float):
         parses.append(len(rows))
-        return parse(rows, usecols)
+        return parse(rows, usecols, dtype)
 
     monkeypatch.setattr(io_formats, "_loadtxt", counted)
     return parses
