@@ -4,7 +4,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,9 +158,11 @@ def _detection_rows(path: Path, column: str, corpus_ids: Sequence[str], dtype: t
     return rows
 
 
-def _step_times(steps: CsvTable, counts: Dict[str, int], counts_path: Path) -> Dict[str, np.ndarray]:
+def _step_times(steps: CsvTable, counts: Dict[str, int], counts_path: Path,
+                spans: Dict[str, Tuple[float, float]]) -> Dict[str, np.ndarray]:
     """The step times of each recording of ``counts`` in ``steps``, in file
-    order; they must be finite, strictly increasing and one per step that
+    order; they must be finite, strictly increasing, within the recording's
+    ``spans`` (first and last sample time) and one per step that
     ``counts_path`` counts."""
     t = steps.values[:, 0]
     steps.check(~np.isfinite(t), lambda row: f"{steps.field(row, 'time')!r} is not a finite number")
@@ -170,6 +172,11 @@ def _step_times(steps: CsvTable, counts: Dict[str, int], counts_path: Path) -> D
     prev[order[1:]] = np.where(labels[order[1:]] == labels[order[:-1]], t[order[:-1]], -np.inf)
     steps.check(t <= prev, lambda row: f"time {float(t[row])!r} is not after the previous step of "
                                        f"recording {steps.labels[row]!r} at {float(prev[row])!r}")
+    ids, of_row = np.unique(labels, return_inverse=True)
+    first, last = np.array([spans[rid] for rid in ids]).T[:, of_row]
+    steps.check((t < first) | (t > last), lambda row: f"time {float(t[row])!r} lies outside recording "
+                                                      f"{steps.labels[row]!r}, whose samples span "
+                                                      f"{float(first[row])!r} to {float(last[row])!r} s")
     times = {rid: t[labels == rid] for rid in counts}
     miscounted = next((rid for rid, count in counts.items() if len(times[rid]) != count), None)
     if miscounted is not None:
@@ -178,12 +185,13 @@ def _step_times(steps: CsvTable, counts: Dict[str, int], counts_path: Path) -> D
     return times
 
 
-def _read_detections(det_dir: Path, corpus_ids: Sequence[str]):
+def _read_detections(det_dir: Path, spans: Dict[str, Tuple[float, float]]):
     """Every ``counts_<alg>.csv`` in ``det_dir``, which must list each
-    recording of the corpus once, and its ``steps_<alg>.csv`` when that has
-    rows. Every row must name a recording of the corpus. Counts must be 0 or
-    more, and each recording's step times finite, strictly increasing and as
-    many as its count."""
+    recording of ``spans``, the corpus, once, and its ``steps_<alg>.csv`` when
+    that has rows. Every row must name a recording of the corpus. Counts must
+    be 0 or more, and each recording's step times finite, strictly
+    increasing, within its span and as many as its count."""
+    corpus_ids = list(spans)
     counts_by_alg: Dict[AlgorithmId, Dict[str, int]] = {}
     times_by_alg: Dict[AlgorithmId, Dict[str, np.ndarray]] = {}
     for counts_path in sorted(det_dir.glob("counts_*.csv")):
@@ -206,7 +214,7 @@ def _read_detections(det_dir: Path, corpus_ids: Sequence[str]):
         steps_path = det_dir / f"steps_{alg.value}.csv"
         steps = _detection_rows(steps_path, "time", corpus_ids) if steps_path.exists() else None
         if steps is not None and steps.lines:  # a steps file without rows holds no step times
-            times_by_alg[alg] = _step_times(steps, counts, counts_path)
+            times_by_alg[alg] = _step_times(steps, counts, counts_path, spans)
     if not counts_by_alg:
         raise FormatError(f"no detection outputs (counts_*.csv) found in {det_dir}; run `detect` first")
     return counts_by_alg, times_by_alg
@@ -215,7 +223,10 @@ def _read_detections(det_dir: Path, corpus_ids: Sequence[str]):
 def cmd_evaluate(args) -> int:
     dataset = _load_labelled_corpus(args.corpus, scored=True)
     det_dir = Path(args.detections)
-    counts_by_alg, times_by_alg = _read_detections(det_dir, [rec.id for rec in dataset])
+    wrists = {rec.id: (rec.left, rec.right) for rec in dataset}
+    spans = {rid: (min(w.t0 for w in pair), max(w.t0 + (len(w) - 1) / w.rate for w in pair))  # first, last sample
+             for rid, pair in wrists.items()}
+    counts_by_alg, times_by_alg = _read_detections(det_dir, spans)
     result = summarize_counts(counts_by_alg, dataset, times_by_alg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

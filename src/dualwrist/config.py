@@ -4,12 +4,11 @@ One versioned JSON file drives simulate/tune runs. Unknown keys are errors.
 """
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional
 
-from .core import WalkTask
-from .io_formats import FormatError, _read_json
+from .core import PARAM_FIELD_ORDER, WalkTask
+from .io_formats import FormatError, _read_json, dump_json
 from .simulate import DEFAULT_TASK_COUNTS, CorpusSpec
 from .tuning import ParamGrid
 
@@ -18,14 +17,7 @@ CONFIG_VERSION = 1
 _TOP_KEYS = {"version", "corpus", "cv", "grid"}
 _CORPUS_KEYS = {"seed", "tasks"}
 _CV_KEYS = {"folds", "seed"}
-_GRID_KEYS = {
-    "smooth_single",
-    "smooth_fused",
-    "min_peak_amp",
-    "min_peak_gap",
-    "fuse_max_dist",
-    "fuse_min_dist",
-}
+_GRID_KEYS = set(PARAM_FIELD_ORDER)
 
 
 def default_config() -> dict:
@@ -109,20 +101,12 @@ def corpus_spec_from_config(cfg: dict, seed_override: Optional[int] = None) -> C
 
 
 def grid_from_config(cfg: dict) -> ParamGrid:
-    grid_cfg = cfg.get("grid")
-    if not grid_cfg:
-        return ParamGrid()
+    grid_cfg = cfg.get("grid") or {}
     for name, values in grid_cfg.items():
         if not (isinstance(values, list) and values and all(map(_is_number, values))):
             raise FormatError(f"grid.{name} must be a non-empty list of numbers, not {values!r}")
-    defaults = ParamGrid()
-    kwargs = {
-        name: tuple(grid_cfg.get(name, getattr(defaults, name))) for name in _GRID_KEYS
-    }
-    return ParamGrid(**kwargs)
+    return ParamGrid(**{name: tuple(values) for name, values in grid_cfg.items()})  # defaults fill the rest
 
 
 def write_config(cfg: dict, path) -> None:
-    with open(Path(path), "w") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
-        f.write("\n")
+    dump_json(Path(path), cfg)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -272,13 +272,31 @@ PARAM_FIELD_ORDER = (
 )
 
 
+class Detector(NamedTuple):
+    """What one detector reads: its parameters, in ``PARAM_FIELD_ORDER``; the
+    streams of its signal family it detects on, the left (0) or right (1)
+    wrist, or the one fused signal (0); and the parameter its last stage
+    thresholds, which for intersect is the pair distance that
+    ``fuse_max_dist`` cuts after the amplitude gate."""
+
+    params: Tuple[str, ...]
+    streams: Tuple[int, ...]
+    threshold: str = "min_peak_amp"
+
+
+_SINGLE_SIDE = ("smooth_single", "min_peak_amp", "min_peak_gap")
+_LOW_LEVEL = ("smooth_single", "smooth_fused", "min_peak_amp", "min_peak_gap")
+
+DETECTORS = {
+    AlgorithmId.NO_FUSION_LEFT: Detector(_SINGLE_SIDE, (0,)),
+    AlgorithmId.NO_FUSION_RIGHT: Detector(_SINGLE_SIDE, (1,)),
+    AlgorithmId.LOW_LEVEL_SUM: Detector(_LOW_LEVEL, (0,)),
+    AlgorithmId.LOW_LEVEL_DIFF: Detector(_LOW_LEVEL, (0,)),
+    AlgorithmId.HIGH_LEVEL_INTERSECT: Detector(_SINGLE_SIDE + ("fuse_max_dist",), (0, 1), "fuse_max_dist"),
+    AlgorithmId.HIGH_LEVEL_UNION: Detector(_SINGLE_SIDE + ("fuse_min_dist",), (0, 1)),
+}
+
+
 def required_param_fields(alg: AlgorithmId) -> tuple:
     """Parameter fields a given algorithm actually consumes, in declared order."""
-    base = ("smooth_single", "min_peak_amp", "min_peak_gap")
-    if alg in (AlgorithmId.LOW_LEVEL_SUM, AlgorithmId.LOW_LEVEL_DIFF):
-        return ("smooth_single", "smooth_fused", "min_peak_amp", "min_peak_gap")
-    if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
-        return base + ("fuse_max_dist",)
-    if alg is AlgorithmId.HIGH_LEVEL_UNION:
-        return base + ("fuse_min_dist",)
-    return base
+    return DETECTORS[alg].params

@@ -377,18 +377,26 @@ def load_manifest(corpus_dir) -> dict:
                 raise FormatError(f"{path}: recording {rid!r} names its {role} file with {fname!r}, not a string")
             if not (Path(corpus_dir) / fname).exists():
                 raise FormatError(f"{path}: missing {role} file {fname!r} for {rid}")
+        for side in ("left", "right"):  # load_recording reads <id>_<side>.csv
+            if files.get(side) != f"{rid}_{side}.csv":
+                raise FormatError(f"{path}: recording {rid!r} names {files.get(side)!r} as its {side} file, "
+                                  f"not {rid}_{side}.csv")
     return manifest
 
 
 def load_corpus(corpus_dir) -> List[Recording]:
     """Load every recording referenced by the manifest, in sorted id order
-    (the order ``dump_json`` writes the manifest's recordings in)."""
+    (the order ``dump_json`` writes the manifest's recordings in). Each
+    entry's key must be its sidecar's ``id``."""
     corpus_dir = Path(corpus_dir)
-    manifest = load_manifest(corpus_dir)
-    return [
-        load_recording(corpus_dir / entry["files"]["sidecar"])
-        for entry in manifest["recordings"].values()
-    ]
+    recordings = []
+    for rid, entry in load_manifest(corpus_dir)["recordings"].items():
+        rec = load_recording(corpus_dir / entry["files"]["sidecar"])
+        if rec.id != rid:
+            raise FormatError(f"{corpus_dir / MANIFEST_NAME}: recording {rid!r} names sidecar "
+                              f"{entry['files']['sidecar']!r}, whose id is {rec.id!r}")
+        recordings.append(rec)
+    return recordings
 
 
 def save_corpus(recordings: List[Recording], out_dir) -> None:

@@ -13,9 +13,10 @@ last stage: ``detect`` applies the threshold of its one request,
 An engine runs each expensive stage once. The plan builds each family once,
 one ``smooth_single`` window at a time, so both wrists are smoothed once per
 window, and chooses per window what it holds between that window's builds.
-Across calls, the engine keeps each wrist's gap-suppressed peaks per (window,
-wrist, gap), so ``left``, ``right``, ``intersect``, ``union`` and their
-evaluation share one build of each single-side family.
+Across calls, the engine keeps both wrists' gap-suppressed peaks per (window,
+gap), so ``left``, ``right``, ``intersect``, ``union`` and their evaluation
+share one build of each single-side family. What each detector reads is
+``core.DETECTORS``.
 """
 from __future__ import annotations
 
@@ -24,22 +25,10 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 import numpy as np
 
-from .core import AlgorithmId, DetectorParams, PeakSet, Recording, ScalarSeries, Side
+from .core import DETECTORS, AlgorithmId, DetectorParams, PeakSet, Recording, ScalarSeries, Side
 from .fusion import combined_signal, fused_signal, intersect, mutual_nearest, smoothed_magnitude, union_merge
 from .peaks import Pool, candidate_peaks, suppression_key
 from .preprocess import NormalizationContext, fit_normalization, min_max_normalize
-
-# Streams of its signal family that an algorithm detects on: both wrists of
-# a single-side family for high-level fusion, else the left (0) or right (1)
-# wrist, or the fused signal (0).
-_STREAMS = dict.fromkeys(AlgorithmId, (0, 1))
-_STREAMS.update({AlgorithmId.NO_FUSION_LEFT: (0,), AlgorithmId.NO_FUSION_RIGHT: (1,),
-                 AlgorithmId.LOW_LEVEL_SUM: (0,), AlgorithmId.LOW_LEVEL_DIFF: (0,)})
-
-# The parameter of each algorithm's last stage: the amplitude gate, except
-# for intersect, whose gate comes before the pairing that fuse_max_dist cuts.
-_LAST_STAGE = dict.fromkeys(AlgorithmId, "min_peak_amp")
-_LAST_STAGE[AlgorithmId.HIGH_LEVEL_INTERSECT] = "fuse_max_dist"
 
 Errors = Dict[int, str]  # recording index -> why it has no steps
 # A group's last stage: each candidate's recording, the value its threshold
@@ -49,7 +38,7 @@ Stage = Tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[np.ndarray], Pool]]
 
 def _family_key(alg: AlgorithmId, params: DetectorParams) -> Tuple:
     """The parameters that fix the signals ``alg`` detects on."""
-    if alg in (AlgorithmId.LOW_LEVEL_SUM, AlgorithmId.LOW_LEVEL_DIFF):
+    if "smooth_fused" in DETECTORS[alg].params:
         return (alg, params.smooth_single, params.smooth_fused)
     return (None, params.smooth_single, None)
 
@@ -104,9 +93,9 @@ class CorpusEngine:
     Between calls the engine keeps, for the life of the engine:
 
     - each family's normalization context and failed recordings;
-    - each wrist's gap-suppressed peaks per (``smooth_single``, wrist,
-      ``min_peak_gap``) of the single-side families, about 0.7 MB each on
-      the default corpus (48 of them, 34 MB, after tuning on the default
+    - both wrists' gap-suppressed peaks per (``smooth_single``,
+      ``min_peak_gap``) of the single-side families, about 1.4 MB each on
+      the default corpus (24 of them, 34 MB, after tuning on the default
       grid), plus those of the most recent low-level family;
     - the steps of the most recent ``detect`` call, one pool per algorithm.
 
@@ -128,13 +117,13 @@ class CorpusEngine:
             raise ValueError("corpus must not be empty")
         self._index = {rid: i for i, rid in enumerate(self.recordings)}
         self._contexts: Dict[Tuple, Tuple[Optional[NormalizationContext], Errors]] = {}
-        # (family key, stream, gap) -> (floor, the stream's candidates gated at
-        # floor and gap-suppressed). A stream kept at one floor serves every
-        # higher floor: the gated peaks are a prefix of the suppression order.
-        self._kept: Dict[Tuple, Tuple[float, Pool]] = {}
-        # (alg, params) -> (its family's failed recordings, its steps in every
-        # recording or why it has none), from the most recent detect call.
-        self._found: Dict[Tuple, Tuple[Errors, Union[Pool, str, None]]] = {}
+        # (family key, gap) -> (floor, each stream's candidates gated at floor
+        # and gap-suppressed). Streams kept at one floor serve every higher
+        # floor: the gated peaks are a prefix of the suppression order.
+        self._kept: Dict[Tuple, Tuple[float, List[Pool]]] = {}
+        # (alg, params) -> (why each recording has no steps, its steps in the
+        # others or None), from the most recent detect call.
+        self._found: Dict[Tuple, Tuple[Errors, Optional[Pool]]] = {}
 
     def columns(self, recordings: Sequence[Recording]) -> List[int]:
         """Positions of ``recordings`` in the engine's corpus order."""
@@ -180,37 +169,33 @@ class CorpusEngine:
         return [Pool.of(list(stream)) for stream in zip(*(empty if isinstance(c, str) else c for c in cands))]
 
     def _prepare(self, key: Tuple, floor: float, gaps: Iterable[float], hold: Dict) -> Errors:
-        """Keep every stream of family ``key`` gated at ``floor`` or below and
+        """Keep the streams of family ``key`` gated at ``floor`` or below and
         gap-suppressed at each of ``gaps``; returns the family's failed
         recordings. The family's candidates are built (see ``_build``) only
-        when a stream is missing. A single-side family has two streams
+        when a gap is missing. A single-side family keeps both wrists
         whatever the algorithm, so ``left`` also keeps what ``right``,
         ``intersect`` and ``union`` read."""
         known = self._contexts.get(key)
         if known is not None and len(known[1]) == len(self.recordings):
             return known[1]
-        n_streams = 2 if key[0] is None else 1
-        missing = [(s, gap) for gap in gaps for s in range(n_streams)
-                   if self._kept.get((key, s, gap), (math.inf,))[0] > floor]
+        missing = [gap for gap in gaps if self._kept.get((key, gap), (math.inf,))[0] > floor]
         if missing:
             if key[0] is not None:  # low-level families are many: keep one at a time
                 self._kept = {k: v for k, v in self._kept.items() if k[0][0] is None or k[0] == key}
-            streams = self._build(key, hold)
-            if streams:
-                for s in sorted({s for s, _ in missing}):
-                    gated = streams[s].gate(floor)
-                    priority = suppression_key(gated)
-                    for gap in (g for t, g in missing if t == s):
-                        self._kept[(key, s, gap)] = (floor, gated.thin(priority, gap))
+            gated = [stream.gate(floor) for stream in self._build(key, hold)]
+            priorities = [suppression_key(stream) for stream in gated]
+            for gap in missing:
+                self._kept[(key, gap)] = (floor, [s.thin(p, gap) for s, p in zip(gated, priorities)])
         return self._contexts[key][1]
 
     def _plan(self, requests: Sequence[Tuple[AlgorithmId, DetectorParams]]
-              ) -> Iterator[Tuple[List[int], Errors, Union[Stage, str, None]]]:
+              ) -> Iterator[Tuple[List[int], Errors, Optional[Stage]]]:
         """Prepare the family of every (algorithm, parameters) request and
         yield, per group of requests that differ only in their last stage's
-        threshold, their positions, their family's failed recordings, and
-        their last stage (see ``_last_stage``); or why it failed when the
-        algorithm lacks a parameter, or None when the whole family failed.
+        threshold or in parameters their algorithm does not read, their
+        positions, why each recording has no steps (its family's error, else
+        ``<alg> detection requires <field>``), and their last stage (see
+        ``_last_stage``), or None when no recording has steps.
 
         Requests are taken one ``smooth_single`` window at a time. Each
         family is prepared once, at its requests' lowest ``min_peak_amp``
@@ -220,12 +205,13 @@ class CorpusEngine:
         in kind, the combined signal when they are all one low-level
         detector's, and nothing for one family.
         """
+        n = len(self.recordings)
         windows: Dict[float, Dict[Tuple, Dict[Tuple, List[int]]]] = {}
         for i, (alg, params) in enumerate(requests):
-            shared = params.to_dict()
-            del shared[_LAST_STAGE[alg]]
+            detector = DETECTORS[alg]
+            shared = [getattr(params, name) for name in detector.params if name != detector.threshold]
             family = windows.setdefault(params.smooth_single, {}).setdefault(_family_key(alg, params), {})
-            family.setdefault((alg, *shared.values()), []).append(i)
+            family.setdefault((alg, *shared), []).append(i)
         for families in windows.values():
             kinds = {key[0] for key in families}  # None for the single-side family
             hold = dict.fromkeys(kinds if len(kinds) == 1 else [None]) if len(families) > 1 else {}
@@ -236,21 +222,24 @@ class CorpusEngine:
                 errors = self._prepare(key, floor, gaps, hold)
                 merges: Dict = {}  # each gap's union merge, shared by the family's groups
                 for group in groups.values():
-                    stage = None
-                    if len(errors) < len(self.recordings):
-                        try:
-                            stage = self._last_stage(key, [requests[i] for i in group], merges)
-                        except ValueError as exc:
-                            stage = str(exc)
-                    yield group, errors, stage
+                    alg = requests[group[0]][0]
+                    missing = next((name for name in DETECTORS[alg].params for i in group
+                                    if getattr(requests[i][1], name) is None), None)
+                    failed = errors
+                    if missing is not None:  # the family's errors first
+                        failed = {**errors, **{r: f"{alg.value} detection requires {missing}"
+                                               for r in range(n) if r not in errors}}
+                    stage = None if len(failed) == n else self._last_stage(key, [requests[i] for i in group], merges)
+                    yield group, failed, stage
 
     def _last_stage(self, key: Tuple, requests: Sequence[Tuple[AlgorithmId, DetectorParams]],
                     merges: Dict) -> Stage:
         """Every stage before the last threshold of ``requests``, which
-        differ only in that threshold, from the kept streams of family
-        ``key`` (see ``_prepare``): each candidate's recording, the value
-        that threshold tests, each request's threshold, and a function from
-        a keep mask of the candidates to the steps.
+        differ only in that threshold or in parameters their algorithm does
+        not read, from the kept streams of family ``key`` (see
+        ``_prepare``): each candidate's recording, the value that threshold
+        tests, each request's threshold, and a function from a keep mask of
+        the candidates to the steps.
 
         The value is an amplitude, or for intersect a negated pair distance,
         since a pair is kept within ``fuse_max_dist``. A kept stream may be
@@ -260,19 +249,15 @@ class CorpusEngine:
         so it gates here.
         """
         alg, params = requests[0]
-        thresholds = [getattr(p, _LAST_STAGE[alg]) for _, p in requests]
-        if None in thresholds:  # min_peak_amp is required, fuse_max_dist is not
-            raise ValueError("intersection fusion requires fuse_max_dist")
-        thresholds = np.array(thresholds)
+        detector = DETECTORS[alg]
+        thresholds = np.array([getattr(p, detector.threshold) for _, p in requests])
         gap = params.min_peak_gap
-        streams = [self._kept[(key, s, gap)][1] for s in _STREAMS[alg]]
+        streams = [self._kept[(key, gap)][1][s] for s in detector.streams]
         if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
             left, right = (s.gate(params.min_peak_amp) for s in streams)
             nearest, dist = mutual_nearest(left.times, right.times, left.group, right.group)
             return left.group, -dist, -thresholds, lambda keep: intersect(left, right, nearest, keep)
         if len(streams) == 2:
-            if params.fuse_min_dist is None:
-                raise ValueError("union fusion requires fuse_min_dist")
             if gap not in merges:
                 merges[gap] = union_merge(*streams)
             merged, priority = merges[gap]
@@ -299,7 +284,7 @@ class CorpusEngine:
         requests = list(params_by_alg.items())
         found = {}
         for (i,), errors, stage in self._plan(requests):  # one request per algorithm
-            if isinstance(stage, tuple):
+            if stage is not None:
                 _, values, (threshold,), select = stage
                 stage = select(values >= threshold)
             found[requests[i]] = (errors, stage)
@@ -318,8 +303,6 @@ class CorpusEngine:
         errors, steps = self._found[(alg, params)]
         if i in errors:
             raise ValueError(errors[i])
-        if isinstance(steps, str):
-            raise ValueError(steps)
         return steps.peaks(i)
 
     # -- grid counts --------------------------------------------------------
@@ -337,8 +320,6 @@ class CorpusEngine:
         for rows, errors, stage in self._plan(requests):
             if errors:
                 raise ValueError(next(iter(errors.values())))
-            if isinstance(stage, str):
-                raise ValueError(stage)
             group, values, thresholds, _ = stage
             counts[rows] = _tally(group, values, thresholds, n)
         return counts

@@ -36,7 +36,7 @@ class ParamGrid:
     def points(self, alg: AlgorithmId) -> List[DetectorParams]:
         """Cartesian product over the algorithm's fields, declared order,
         last field varying fastest."""
-        names = [n for n in PARAM_FIELD_ORDER if n in required_param_fields(alg)]
+        names = required_param_fields(alg)
         for name in names:
             if not getattr(self, name):
                 raise ValueError(f"grid for {name} must not be empty")

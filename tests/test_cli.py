@@ -407,6 +407,8 @@ BAD_INPUTS = [
      "steps_union.csv:2: 'nan' is not a finite number"),
     ("steps_time_past_the_next_row", "steps_union.csv", lambda row: row.split(",")[0] + ",1e9,1.0", "evaluate",
      "steps_union.csv:3: time "),
+    ("steps_time_before_the_recording", "steps_union.csv", lambda row: row.split(",")[0] + ",-50.0,1.0",
+     "evaluate", "steps_union.csv:2: time -50.0 lies outside recording 'comfortable_pace_000'"),
     ("counts_negative", "counts_union.csv", lambda row: row.rsplit(",", 1)[0] + ",-7", "evaluate",
      "counts_union.csv:2: '-7' is not an integer count of 0 or more"),
     ("counts_digit_group", "counts_union.csv", lambda row: row.rsplit(",", 1)[0] + ",1_38", "evaluate",
@@ -447,6 +449,12 @@ BAD_INPUTS = [
      "evaluate", "manifest.json: "),
     ("manifest_file_name_null", "corpus/manifest.json", _manifest_file("slow_pace_001", "left", None),
      "tune corpus", "manifest.json: "),
+    ("manifest_names_another_left_file", "corpus/manifest.json",
+     _manifest_file("fast_pace_000", "left", "slow_pace_000_left.csv"), "evaluate",
+     "recording 'fast_pace_000' names 'slow_pace_000_left.csv' as its left file"),
+    ("manifest_key_not_sidecar_id", "corpus/manifest.json",
+     _manifest_file("slow_pace_001", "sidecar", "slow_pace_000.json"), "evaluate",
+     "recording 'slow_pace_001' names sidecar 'slow_pace_000.json', whose id is 'slow_pace_000'"),
     ("counts_of_no_detector", "det/counts_foo.csv", "recording_id,count\n", "evaluate", "counts_foo.csv"),
     ("summary_invalid_json", "summary.json", '{"per_algorithm": {', "report", "invalid JSON"),
     ("summary_without_per_algorithm", "summary.json", '{"per_task": {}}', "report", "'per_algorithm'"),

@@ -306,6 +306,55 @@ def test_fused_detectors_reuse_single_side_streams(small_corpus, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("alg, field", [(AlgorithmId.HIGH_LEVEL_INTERSECT, "fuse_max_dist"),
+                                        (AlgorithmId.HIGH_LEVEL_UNION, "fuse_min_dist")])
+def test_missing_parameter_fails_every_recording_naming_it(small_corpus, alg, field):
+    """A request without a parameter its detector reads fails every
+    recording with one message naming the field: in steps, count_tensor and
+    evaluate_corpus's error rows alike."""
+    params = replace(PARAM_POINTS[0], **{field: None})
+    message = f"{alg.value} detection requires {field}"
+    engine = CorpusEngine(small_corpus)
+    for rec in small_corpus:
+        with pytest.raises(ValueError, match=message):
+            engine.steps(alg, rec.id, params)
+    with pytest.raises(ValueError, match=message):
+        engine.count_tensor([(alg, PARAM_POINTS[0]), (alg, params)])
+    left = AlgorithmId.NO_FUSION_LEFT
+    rows = evaluate_corpus(small_corpus, [left, alg], {left: PARAM_POINTS[0], alg: params}, engine=engine).rows
+    assert [row.error for row in rows if row.algorithm is alg] == [message] * len(small_corpus)
+
+
+def test_family_error_comes_before_a_missing_parameter(small_corpus):
+    """A recording its family fails keeps that error; count_tensor raises it
+    even when the recording comes after every recording with steps."""
+    union = AlgorithmId.HIGH_LEVEL_UNION
+    short = recording_from_signals([0.0, 1.0], [1.0, 0.0], rec_id="short")  # too short for peaks
+    engine = CorpusEngine(list(small_corpus) + [short])
+    params = replace(PARAM_POINTS[0], fuse_min_dist=None)
+    with pytest.raises(ValueError, match="3 samples"):
+        engine.count_tensor([(union, params)])
+    with pytest.raises(ValueError, match="3 samples"):
+        engine.steps(union, "short", params)
+    with pytest.raises(ValueError, match="union detection requires fuse_min_dist"):
+        engine.steps(union, small_corpus[0].id, params)
+
+
+@pytest.mark.parametrize("alg, unread", [(AlgorithmId.NO_FUSION_LEFT, "fuse_min_dist"),
+                                         (AlgorithmId.LOW_LEVEL_SUM, "fuse_max_dist"),
+                                         (AlgorithmId.HIGH_LEVEL_UNION, "fuse_max_dist")])
+def test_parameters_a_detector_does_not_read_leave_its_counts(small_corpus, alg, unread, monkeypatch):
+    """Requests that differ only in a parameter their detector does not read
+    get identical rows, from one last stage."""
+    requests = [(alg, replace(PARAM_POINTS[0], **{unread: value})) for value in (None, 0.1, 0.2)]
+    engine, stages = CorpusEngine(small_corpus), []
+    real = engine._last_stage
+    monkeypatch.setattr(engine, "_last_stage", lambda *args: stages.append(args) or real(*args))
+    counts = engine.count_tensor(requests)
+    assert (counts == counts[0]).all()
+    assert len(stages) == 1
+
+
 def overflowing(rec, side):
     """``rec`` with one sample of ``side``'s wrist so large that its magnitude
     overflows: every detector fails it, naming the wrist."""
