@@ -4,6 +4,7 @@ One versioned JSON file drives simulate/tune runs. Unknown keys are errors.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Optional
 
@@ -103,8 +104,8 @@ def corpus_spec_from_config(cfg: dict, seed_override: Optional[int] = None) -> C
 def grid_from_config(cfg: dict) -> ParamGrid:
     grid_cfg = cfg.get("grid") or {}
     for name, values in grid_cfg.items():
-        if not (isinstance(values, list) and values and all(map(_is_number, values))):
-            raise FormatError(f"grid.{name} must be a non-empty list of numbers, not {values!r}")
+        if not (isinstance(values, list) and values and all(_is_number(v) and math.isfinite(v) for v in values)):
+            raise FormatError(f"grid.{name} must be a non-empty list of finite numbers, not {values!r}")
     return ParamGrid(**{name: tuple(values) for name, values in grid_cfg.items()})  # defaults fill the rest
 
 

@@ -1,7 +1,8 @@
 """Shared domain types: time series, recordings, peak sets, parameters."""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import NamedTuple, Optional, Tuple
 
@@ -229,7 +230,8 @@ class DetectorParams:
     """Tunable knobs shared by the six detectors.
 
     Windows are in seconds; ``min_peak_amp`` applies to the min-max normalized
-    signal. Optional fields are only required by the pipelines that use them.
+    signal. Optional fields are only required by the pipelines that use them,
+    and every field that is set must be finite.
     """
 
     smooth_single: float
@@ -240,10 +242,15 @@ class DetectorParams:
     fuse_min_dist: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("smooth_single", "min_peak_gap", "smooth_fused", "fuse_max_dist", "fuse_min_dist"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None:
+                if f.default is MISSING:  # every detector reads the fields without a default
+                    raise ValueError(f"{f.name} must be set")
+            elif not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, not {v!r}")
+            elif v < 0 and f.name != "min_peak_amp":
+                raise ValueError(f"{f.name} must be >= 0")
         if not 0.0 <= self.min_peak_amp <= 1.0:
             raise ValueError("min_peak_amp must lie in [0, 1]")
         if self.fuse_max_dist is not None and self.fuse_max_dist > self.min_peak_gap:

@@ -3,7 +3,7 @@ one recording or on a :class:`Pool` of many recordings at once."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,7 +53,10 @@ class Pool:
         )
 
     def select(self, mask: np.ndarray) -> "Pool":
-        return Pool(self.group[mask], self.times[mask], self.amps[mask])
+        # One index list for the three arrays: a boolean index of each is
+        # several times slower on the irregular masks of thinning and gating.
+        kept = np.flatnonzero(mask)
+        return Pool(self.group.take(kept), self.times.take(kept), self.amps.take(kept))
 
     def gate(self, min_amp: float) -> "Pool":
         return self.select(self.amps >= min_amp)
@@ -62,6 +65,11 @@ class Pool:
         """Greedy non-maximum suppression within each recording, smallest
         ``key`` first (see :func:`greedy_nms`)."""
         return self.select(greedy_nms(self.times, key, radius, self.group))
+
+    def thin_each(self, key: np.ndarray, radii: Sequence[float]) -> List["Pool"]:
+        """``[self.thin(key, r) for r in radii]`` from one :func:`greedy_nms`
+        call."""
+        return [self.select(keep) for keep in greedy_nms(self.times, key, radii, self.group)]
 
     def peaks(self, i: int) -> PeakSet:
         lo, hi = np.searchsorted(self.group, [i, i + 1])
@@ -79,7 +87,8 @@ def priority_rank(*keys: np.ndarray) -> np.ndarray:
     return rank
 
 
-def greedy_nms(times: np.ndarray, key: np.ndarray, radius: float, group: np.ndarray) -> np.ndarray:
+def greedy_nms(times: np.ndarray, key: np.ndarray, radius: Union[float, Sequence[float]],
+               group: np.ndarray) -> np.ndarray:
     """Keep mask of greedy non-maximum suppression.
 
     The sequential rule visits elements by ``key``, smallest first, an equal
@@ -95,31 +104,101 @@ def greedy_nms(times: np.ndarray, key: np.ndarray, radius: float, group: np.ndar
     of two wrists. A distinct rank, as from :func:`priority_rank`, is a key
     too. ``times`` must be non-decreasing within each ``group`` and each group
     contiguous; elements of different groups never interact.
+
+    ``radius`` may also be a sequence of radii, in any order, repeats
+    allowed: the result is then one keep mask per radius, a row each, equal
+    to one call per radius. Round 1 runs over every element whatever the
+    radius, so it is computed once per eight distinct radii (see
+    :func:`_shared_round`); each radius's later rounds run on its own
+    undecided elements.
     """
-    keep = np.zeros(len(times), dtype=np.bool_)
-    live = np.arange(len(times))
-    t, q, g = times, key, group  # of the ``live`` elements
+    if np.ndim(radius) == 0:
+        return _rounds(times, key, radius, group, *_round(times, key, radius, group))
+    levels, level_of = np.unique(np.asarray(radius, dtype=float), return_inverse=True)
+    keep = np.empty((len(levels), len(times)), dtype=np.bool_)
+    for start in range(0, len(levels), 8):
+        chunk = levels[start:start + 8]
+        if len(chunk) == 1:  # one radius: the bool round is the faster
+            firsts = [_round(times, key, chunk[0], group)]
+        else:
+            won, decided = _shared_round(times, key, chunk, group)
+            firsts = [((won & bit) != 0, (decided & bit) != 0) for bit in 1 << np.arange(len(chunk), dtype=np.uint8)]
+        for u, (r, first) in enumerate(zip(chunk, firsts)):
+            keep[start + u] = _rounds(times, key, r, group, *first)
+    return keep[level_of]
+
+
+def _round(t: np.ndarray, q: np.ndarray, radius: float, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One round of :func:`greedy_nms` over elements ``t``, ``q``, ``g``: the
+    elements kept (``won``), and those kept or dropped (``decided``)."""
+    # near[k-1][i]: element i and element i + k are neighbours. Differences
+    # grow with k, so the first offset without a pair ends the scan.
+    near = []
+    lost = np.zeros(t.size, dtype=np.bool_)
+    for k in range(1, t.size):
+        pair = (t[k:] - t[:-k] <= radius) & (g[k:] == g[:-k])
+        if not pair.any():
+            break
+        near.append(pair)
+        later_wins = pair & (q[k:] < q[:-k])  # a tie goes to the earlier element
+        lost[:-k] |= later_wins
+        lost[k:] |= pair ^ later_wins
+    return _settle(lost, near)
+
+
+def _shared_round(t: np.ndarray, q: np.ndarray, radii: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_round` at up to eight ascending ``radii`` at once, radius ``u``
+    being bit ``u`` of each ``uint8`` of ``won`` and ``decided``.
+
+    Per offset, the difference, the group test and the key comparison serve
+    every radius; only ``d <= r`` runs per radius. A pair within one radius
+    is within every larger one, so the radii whose pairs have ended are a
+    prefix, ``radii[:lo]``, and the scan ends with the largest radius's."""
+    near = []
+    lost = np.zeros(t.size, dtype=np.uint8)
+    lo = 0
+    for k in range(1, t.size):
+        d = t[k:] - t[:-k]
+        same = g[k:] == g[:-k]
+        pair = np.zeros(d.size, dtype=np.uint8)
+        for u in range(lo, len(radii)):
+            within = (d <= radii[u]) & same
+            if u == lo and not within.any():
+                lo += 1
+            else:
+                pair |= within.view(np.uint8) * np.uint8(1 << u)
+        if lo == len(radii):
+            break
+        near.append(pair)
+        later_wins = pair * (q[k:] < q[:-k])  # a tie goes to the earlier element
+        lost[:-k] |= later_wins
+        lost[k:] |= pair ^ later_wins
+    return _settle(lost, near)
+
+
+def _settle(lost: np.ndarray, near: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """A round's ``won`` and ``decided`` from who ``lost`` to a neighbour and
+    the ``near`` pair masks, per offset; bool masks, or bits of one radius
+    each."""
+    won = ~lost
+    decided = won.copy()
+    for k, pair in enumerate(near, start=1):
+        decided[:-k] |= pair & won[k:]
+        decided[k:] |= pair & won[:-k]
+    return won, decided
+
+
+def _rounds(times: np.ndarray, key: np.ndarray, radius: float, group: np.ndarray,
+            won: np.ndarray, decided: np.ndarray) -> np.ndarray:
+    """:func:`greedy_nms`'s keep mask at one ``radius``, given round 1 over
+    every element (its ``won`` mask becomes the result); each later round
+    runs on the undecided elements."""
+    keep = won
+    live = np.flatnonzero(~decided)
     while live.size:
-        # near[k-1][i]: element i and element i + k of ``live`` are neighbours.
-        # Differences grow with k, so the first offset without a pair ends the scan.
-        near = []
-        lost = np.zeros(live.size, dtype=np.bool_)
-        for k in range(1, live.size):
-            pair = (t[k:] - t[:-k] <= radius) & (g[k:] == g[:-k])
-            if not pair.any():
-                break
-            near.append(pair)
-            later_wins = pair & (q[k:] < q[:-k])  # a tie goes to the earlier element
-            lost[:-k] |= later_wins
-            lost[k:] |= pair ^ later_wins
-        won = ~lost
+        won, decided = _round(times[live], key[live], radius, group[live])
         keep[live] = won
-        decided = won.copy()
-        for k, pair in enumerate(near, start=1):
-            decided[:-k] |= pair & won[k:]
-            decided[k:] |= pair & won[:-k]
         live = live[~decided]
-        t, q, g = times[live], key[live], group[live]
     return keep
 
 

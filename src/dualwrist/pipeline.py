@@ -183,9 +183,9 @@ class CorpusEngine:
             if key[0] is not None:  # low-level families are many: keep one at a time
                 self._kept = {k: v for k, v in self._kept.items() if k[0][0] is None or k[0] == key}
             gated = [stream.gate(floor) for stream in self._build(key, hold)]
-            priorities = [suppression_key(stream) for stream in gated]
-            for gap in missing:
-                self._kept[(key, gap)] = (floor, [s.thin(p, gap) for s, p in zip(gated, priorities)])
+            thinned = [stream.thin_each(suppression_key(stream), missing) for stream in gated]
+            for u, gap in enumerate(missing):
+                self._kept[(key, gap)] = (floor, [stream[u] for stream in thinned])
         return self._contexts[key][1]
 
     def _plan(self, requests: Sequence[Tuple[AlgorithmId, DetectorParams]]
@@ -220,7 +220,13 @@ class CorpusEngine:
                 floor = min(requests[i][1].min_peak_amp for i in rows)
                 gaps = dict.fromkeys(requests[i][1].min_peak_gap for i in rows)
                 errors = self._prepare(key, floor, gaps, hold)
-                merges: Dict = {}  # each gap's union merge, shared by the family's groups
+                # Each gap's union merge, thinned at once at every fuse_min_dist
+                # the family's union groups read: gap -> distance -> steps, None
+                # until the first of them is asked for.
+                unions: Dict[float, Dict[float, Optional[Pool]]] = {}
+                for alg, params in (requests[group[0]] for group in groups.values()):
+                    if "fuse_min_dist" in DETECTORS[alg].params and params.fuse_min_dist is not None:
+                        unions.setdefault(params.min_peak_gap, {})[params.fuse_min_dist] = None
                 for group in groups.values():
                     alg = requests[group[0]][0]
                     missing = next((name for name in DETECTORS[alg].params for i in group
@@ -229,11 +235,11 @@ class CorpusEngine:
                     if missing is not None:  # the family's errors first
                         failed = {**errors, **{r: f"{alg.value} detection requires {missing}"
                                                for r in range(n) if r not in errors}}
-                    stage = None if len(failed) == n else self._last_stage(key, [requests[i] for i in group], merges)
+                    stage = None if len(failed) == n else self._last_stage(key, [requests[i] for i in group], unions)
                     yield group, failed, stage
 
     def _last_stage(self, key: Tuple, requests: Sequence[Tuple[AlgorithmId, DetectorParams]],
-                    merges: Dict) -> Stage:
+                    unions: Dict[float, Dict[float, Optional[Pool]]]) -> Stage:
         """Every stage before the last threshold of ``requests``, which
         differ only in that threshold or in parameters their algorithm does
         not read, from the kept streams of family ``key`` (see
@@ -246,7 +252,8 @@ class CorpusEngine:
         gated at a floor below ``min_peak_amp``. The gated peaks are a
         prefix of the suppression and union priority orders, so the steps do
         not depend on the floor; intersect pairs after its amplitude gate,
-        so it gates here.
+        so it gates here. Union thins its gap's merge once, at every
+        distance in ``unions[gap]`` (see ``_plan``), and takes its own.
         """
         alg, params = requests[0]
         detector = DETECTORS[alg]
@@ -258,10 +265,12 @@ class CorpusEngine:
             nearest, dist = mutual_nearest(left.times, right.times, left.group, right.group)
             return left.group, -dist, -thresholds, lambda keep: intersect(left, right, nearest, keep)
         if len(streams) == 2:
-            if gap not in merges:
-                merges[gap] = union_merge(*streams)
-            merged, priority = merges[gap]
-            streams = [merged.thin(priority, params.fuse_min_dist)]
+            thinned = unions[gap]
+            if thinned[params.fuse_min_dist] is None:
+                merged, priority = union_merge(*streams)
+                dists = list(thinned)
+                thinned.update(zip(dists, merged.thin_each(priority, dists)))
+            streams = [thinned.pop(params.fuse_min_dist)]  # each distance's group comes once
         return streams[0].group, streams[0].amps, thresholds, streams[0].select
 
     def context_for(self, alg: AlgorithmId, params: DetectorParams) -> NormalizationContext:

@@ -381,12 +381,21 @@ BAD_INPUTS = [
     ("params_truncated", "p.json", '{"smooth_single": 0.1,', "detect left", "'left'"),
     ("params_string_value", "p.json", '{"smooth_single": "x", "min_peak_amp": 0.1, "min_peak_gap": 0.4}',
      "detect left", "smooth_single"),
+    ("params_infinite_window", "p.json", '{"smooth_single": Infinity, "min_peak_amp": 0.1, "min_peak_gap": 0.4}',
+     "detect left", "'left': smooth_single must be finite, not inf"),
+    ("params_nan_gap", "p.json", '{"smooth_single": 0.1, "min_peak_amp": 0.1, "min_peak_gap": NaN}',
+     "detect left", "'left': min_peak_gap must be finite, not nan"),
+    ("params_infinite_union_distance", "p.json",
+     '{"smooth_single": 0.1, "min_peak_amp": 0.1, "min_peak_gap": 0.4, "fuse_min_dist": -Infinity}',
+     "detect union", "'union': fuse_min_dist must be finite, not -inf"),
     ("config_scalar_grid", "c.json", '{"version": 1, "grid": {"min_peak_amp": 0.1}}', "tune",
      "grid.min_peak_amp"),
     ("config_text_in_grid", "c.json", '{"version": 1, "grid": {"min_peak_gap": [0.2, "x"]}}', "tune",
      "grid.min_peak_gap"),
     ("config_empty_grid", "c.json", '{"version": 1, "grid": {"fuse_min_dist": []}}', "tune",
      "grid.fuse_min_dist"),
+    ("config_infinite_in_grid", "c.json", '{"version": 1, "grid": {"smooth_single": [0.1, Infinity]}}', "tune",
+     "grid.smooth_single must be a non-empty list of finite numbers, not [0.1, inf]"),
     ("config_grid_not_object", "c.json", '{"version": 1, "grid": 0.1}', "tune", "grid"),
     ("config_task_count", "c.json", '{"version": 1, "corpus": {"tasks": {"slow_pace": "x"}}}', "simulate",
      "corpus.tasks.slow_pace"),

@@ -206,6 +206,19 @@ class TestDetectorParams:
         with pytest.raises(ValueError):
             DetectorParams(smooth_single=0.1, min_peak_amp=0.1, min_peak_gap=-0.3)
 
+    @pytest.mark.parametrize("name", ["smooth_single", "min_peak_amp", "min_peak_gap"])
+    def test_fields_every_detector_reads_must_be_set(self, name):
+        kwargs = {"smooth_single": 0.1, "min_peak_amp": 0.1, "min_peak_gap": 0.3, name: None}
+        with pytest.raises(ValueError, match=f"^{name} must be set$"):
+            DetectorParams(**kwargs)
+
+    @pytest.mark.parametrize("name", PARAM_FIELD_ORDER)
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_set_fields_must_be_finite(self, name, value):
+        kwargs = {"smooth_single": 0.1, "min_peak_amp": 0.1, "min_peak_gap": 0.3, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, not {value!r}$"):
+            DetectorParams(**kwargs)
+
     def test_fuse_max_dist_bounded_by_gap(self):
         DetectorParams(smooth_single=0.1, min_peak_amp=0.1, min_peak_gap=0.3,
                        fuse_max_dist=0.3)

@@ -193,6 +193,15 @@ def grouped_peaks(draw):
 radii = st.integers(0, 128).map(lambda q: q / 64)
 
 
+@st.composite
+def radius_lists(draw):
+    """Shuffled radii with repeats: 0 and eight to twelve other distinct
+    values, so that the kernel's second chunk of eight radii is used."""
+    distinct = [0.0] + [q / 64 for q in draw(st.lists(st.integers(1, 128), min_size=8, max_size=12, unique=True))]
+    repeats = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=4))
+    return draw(st.permutations(distinct + repeats))
+
+
 def sequential_greedy(times, priority, radius, group):
     """The greedy rule as a plain loop: visit elements by ``priority`` (a
     tuple each), ties to the earlier element, and keep one when no kept
@@ -245,3 +254,19 @@ class TestPriorityKeys:
         keep = greedy_nms(times, key, radius, group)
         assert np.array_equal(keep, greedy_nms(times, priority_rank(times, -src, -amps), radius, group))
         assert np.array_equal(keep, sequential_greedy(times, list(zip(-amps, -src)), radius, group))
+
+    @given(grouped_peaks(), radius_lists())
+    @settings(max_examples=100)
+    def test_many_radii_in_one_call(self, peaks, radii):
+        """A sequence of radii gives one keep mask per radius, in its order:
+        one call per radius, and the sequential greedy loop, for the
+        suppression key and the union's complex key alike."""
+        group, times, amps, src = peaks
+        left, right = (Pool(group[src == s], times[src == s], amps[src == s]) for s in (0, 1))
+        for key, priority in ((suppression_key(Pool(group, times, amps)), [(-a,) for a in amps]),
+                              (union_merge(left, right)[1], list(zip(-amps, -src)))):
+            keep = greedy_nms(times, key, radii, group)
+            assert keep.shape == (len(radii), len(times))
+            for radius, row in zip(radii, keep):
+                assert np.array_equal(row, greedy_nms(times, key, radius, group))
+                assert np.array_equal(row, sequential_greedy(times, priority, radius, group))

@@ -169,6 +169,22 @@ def test_count_tensor_counts_mixed_requests(small_corpus):
         assert [counts[(alg, p)] for p in points] == own == steps
 
 
+@pytest.mark.parametrize("alg", list(AlgorithmId))
+def test_count_tensor_at_nine_gaps_counts_each_gap_alone(small_corpus, alg):
+    """Nine gaps suppress each stream in one kernel call, across two chunks
+    of radii, and union thins each gap's merge at both distances in one; the
+    counts are those of a fresh engine per gap."""
+    gaps = (0.1, 0.16, 0.22, 0.28, 0.34, 0.4, 0.46, 0.52, 0.58)
+    grid = ParamGrid(smooth_single=(0.1,), smooth_fused=(0.08,), min_peak_amp=(0.04, 0.2),
+                     min_peak_gap=gaps, fuse_max_dist=(0.1,), fuse_min_dist=(0.14, 0.3))
+    points = grid.points(alg)
+    counts = CorpusEngine(small_corpus).count_tensor([(alg, p) for p in points])
+    for gap in gaps:
+        rows = [i for i, p in enumerate(points) if p.min_peak_gap == gap]
+        alone = CorpusEngine(small_corpus).count_tensor([(alg, points[i]) for i in rows])
+        assert counts[rows].tolist() == alone.tolist()
+
+
 @pytest.mark.parametrize("order", ["forward", "reverse"])
 def test_shared_engine_matches_fresh_engines(small_corpus, order):
     """Detectors that reuse kept streams count and detect what a fresh engine
