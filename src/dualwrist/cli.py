@@ -69,9 +69,12 @@ def _load_labelled_corpus(corpus_dir, scored: bool = False) -> List[Recording]:
 
 def cmd_tune(args) -> int:
     cfg = _load_session_config(args.config)
-    grid = grid_from_config(cfg)
-    dataset = _load_labelled_corpus(args.corpus)
     algorithms = _parse_algs(args.alg)
+    try:
+        grid = grid_from_config(cfg, algorithms)
+    except ValueError as exc:
+        raise FormatError(f"{args.config}: {exc}") from None
+    dataset = _load_labelled_corpus(args.corpus)
     folds = args.folds if args.folds is not None else cfg.get("cv", {}).get("folds", 5)
     seed = args.seed if args.seed is not None else cfg.get("cv", {}).get("seed", 0)
     reports = cross_validate_study(dataset, algorithms, grid, k=folds, seed=seed)

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
-from .core import PARAM_FIELD_ORDER, WalkTask
+from .core import PARAM_FIELD_ORDER, AlgorithmId, WalkTask
 from .io_formats import FormatError, _read_json, dump_json
 from .simulate import DEFAULT_TASK_COUNTS, CorpusSpec
 from .tuning import ParamGrid
@@ -95,18 +95,23 @@ def corpus_spec_from_config(cfg: dict, seed_override: Optional[int] = None) -> C
         if tasks is not None
         else dict(DEFAULT_TASK_COUNTS)
     )
+    if not sum(counts.values()):
+        raise FormatError(f"corpus.tasks must ask for at least one recording, not {tasks!r}")
     seed = seed_override if seed_override is not None else corpus.get("seed", 42)
     if not _is_int(seed):
         raise FormatError(f"corpus.seed must be an integer, not {seed!r}")
     return CorpusSpec(task_counts=counts, seed=seed)
 
 
-def grid_from_config(cfg: dict) -> ParamGrid:
+def grid_from_config(cfg: dict, algorithms: Sequence[AlgorithmId] = ()) -> ParamGrid:
     grid_cfg = cfg.get("grid") or {}
     for name, values in grid_cfg.items():
         if not (isinstance(values, list) and values and all(_is_number(v) and math.isfinite(v) for v in values)):
             raise FormatError(f"grid.{name} must be a non-empty list of finite numbers, not {values!r}")
-    return ParamGrid(**{name: tuple(values) for name, values in grid_cfg.items()})  # defaults fill the rest
+    grid = ParamGrid(**{name: tuple(values) for name, values in grid_cfg.items()})  # defaults fill the rest
+    for alg in algorithms:
+        grid.points(alg)  # each value in its field's range, and a point left after filtering
+    return grid
 
 
 def write_config(cfg: dict, path) -> None:

@@ -366,8 +366,8 @@ def load_manifest(corpus_dir) -> dict:
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format version {version!r}")
     recordings = manifest.get("recordings", {})
-    if not isinstance(recordings, dict):
-        raise FormatError(f"{path}: 'recordings' must be an object")
+    if not isinstance(recordings, dict) or not recordings:
+        raise FormatError(f"{path}: 'recordings' must be an object naming at least one recording")
     for rid, entry in recordings.items():
         files = entry.get("files") if isinstance(entry, dict) else None
         if not isinstance(files, dict) or "sidecar" not in files:

@@ -109,97 +109,65 @@ def greedy_nms(times: np.ndarray, key: np.ndarray, radius: Union[float, Sequence
     allowed: the result is then one keep mask per radius, a row each, equal
     to one call per radius. Round 1 runs over every element whatever the
     radius, so it is computed once per eight distinct radii (see
-    :func:`_shared_round`); each radius's later rounds run on its own
-    undecided elements.
+    :func:`_round`); each radius's later rounds run on its own undecided
+    elements.
     """
-    if np.ndim(radius) == 0:
-        return _rounds(times, key, radius, group, *_round(times, key, radius, group))
-    levels, level_of = np.unique(np.asarray(radius, dtype=float), return_inverse=True)
+    levels, level_of = np.unique(np.atleast_1d(np.asarray(radius, dtype=float)), return_inverse=True)
     keep = np.empty((len(levels), len(times)), dtype=np.bool_)
     for start in range(0, len(levels), 8):
         chunk = levels[start:start + 8]
-        if len(chunk) == 1:  # one radius: the bool round is the faster
-            firsts = [_round(times, key, chunk[0], group)]
-        else:
-            won, decided = _shared_round(times, key, chunk, group)
-            firsts = [((won & bit) != 0, (decided & bit) != 0) for bit in 1 << np.arange(len(chunk), dtype=np.uint8)]
-        for u, (r, first) in enumerate(zip(chunk, firsts)):
-            keep[start + u] = _rounds(times, key, r, group, *first)
-    return keep[level_of]
+        won, decided = _round(times, key, chunk, group)
+        for u in range(len(chunk)):
+            bit = np.uint8(1 << u)
+            keep[start + u] = won & bit
+            live = np.flatnonzero((decided & bit) == 0)  # a bool mask: several times faster
+            while live.size:  # radius u alone, whose bits 0 and 1 read as bools
+                won_u, decided_u = _round(times[live], key[live], chunk[u:u + 1], group[live])
+                keep[start + u, live] = won_u.view(np.bool_)
+                live = live[~decided_u.view(np.bool_)]
+    return keep[0] if np.ndim(radius) == 0 else keep[level_of]
 
 
-def _round(t: np.ndarray, q: np.ndarray, radius: float, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """One round of :func:`greedy_nms` over elements ``t``, ``q``, ``g``: the
-    elements kept (``won``), and those kept or dropped (``decided``)."""
-    # near[k-1][i]: element i and element i + k are neighbours. Differences
-    # grow with k, so the first offset without a pair ends the scan.
-    near = []
-    lost = np.zeros(t.size, dtype=np.bool_)
-    for k in range(1, t.size):
-        pair = (t[k:] - t[:-k] <= radius) & (g[k:] == g[:-k])
-        if not pair.any():
-            break
-        near.append(pair)
-        later_wins = pair & (q[k:] < q[:-k])  # a tie goes to the earlier element
-        lost[:-k] |= later_wins
-        lost[k:] |= pair ^ later_wins
-    return _settle(lost, near)
+def _round(t: np.ndarray, q: np.ndarray, radii: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One round of :func:`greedy_nms` over elements ``t``, ``q``, ``g`` at up
+    to eight ascending ``radii`` at once: the elements kept (``won``), and
+    those kept or dropped (``decided``), radius ``u`` being bit ``u`` of each
+    ``uint8``; at one radius, each is 0 or 1.
 
-
-def _shared_round(t: np.ndarray, q: np.ndarray, radii: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_round` at up to eight ascending ``radii`` at once, radius ``u``
-    being bit ``u`` of each ``uint8`` of ``won`` and ``decided``.
-
-    Per offset, the difference, the group test and the key comparison serve
-    every radius; only ``d <= r`` runs per radius. A pair within one radius
-    is within every larger one, so the radii whose pairs have ended are a
-    prefix, ``radii[:lo]``, and the scan ends with the largest radius's."""
-    near = []
+    Per offset ``k``, the difference, the group test and the key comparison
+    serve every radius; only ``d <= r`` runs per radius. Differences grow
+    with ``k``, and a pair within one radius is within every larger one, so
+    the radii whose pairs have ended are a prefix, ``radii[:lo]``, and the
+    scan ends with the largest radius's."""
+    near = []  # near[k-1]: the radii at which element i and element i + k are neighbours
     lost = np.zeros(t.size, dtype=np.uint8)
     lo = 0
     for k in range(1, t.size):
         d = t[k:] - t[:-k]
         same = g[k:] == g[:-k]
-        pair = np.zeros(d.size, dtype=np.uint8)
+        pair = None
         for u in range(lo, len(radii)):
             within = (d <= radii[u]) & same
-            if u == lo and not within.any():
+            if pair is None and not within.any():  # bool .any() is the cheap one
                 lo += 1
-            else:
-                pair |= within.view(np.uint8) * np.uint8(1 << u)
-        if lo == len(radii):
+                continue
+            bits = within.view(np.uint8)
+            if u:
+                bits *= np.uint8(1 << u)  # a multiply: a uint8 shift is slower
+            pair = bits if pair is None else pair | bits
+        del d, same  # freed first: the key comparison's temporaries reuse their memory
+        if pair is None:
             break
         near.append(pair)
-        later_wins = pair * (q[k:] < q[:-k])  # a tie goes to the earlier element
+        later_wins = pair * (q[k:] < q[:-k]).view(np.uint8)  # a tie goes to the earlier element
         lost[:-k] |= later_wins
         lost[k:] |= pair ^ later_wins
-    return _settle(lost, near)
-
-
-def _settle(lost: np.ndarray, near: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """A round's ``won`` and ``decided`` from who ``lost`` to a neighbour and
-    the ``near`` pair masks, per offset; bool masks, or bits of one radius
-    each."""
-    won = ~lost
+    won = lost ^ np.uint8((1 << len(radii)) - 1)
     decided = won.copy()
     for k, pair in enumerate(near, start=1):
         decided[:-k] |= pair & won[k:]
         decided[k:] |= pair & won[:-k]
     return won, decided
-
-
-def _rounds(times: np.ndarray, key: np.ndarray, radius: float, group: np.ndarray,
-            won: np.ndarray, decided: np.ndarray) -> np.ndarray:
-    """:func:`greedy_nms`'s keep mask at one ``radius``, given round 1 over
-    every element (its ``won`` mask becomes the result); each later round
-    runs on the undecided elements."""
-    keep = won
-    live = np.flatnonzero(~decided)
-    while live.size:
-        won, decided = _round(times[live], key[live], radius, group[live])
-        keep[live] = won
-        live = live[~decided]
-    return keep
 
 
 def suppression_key(pool: Pool) -> np.ndarray:

@@ -112,6 +112,17 @@ class TestTune:
         of_config_seed = cross_validate_study(corpus, [union], grid, k=2, seed=SMALL_CFG["cv"]["seed"])[union]
         assert report != json.loads(json.dumps(of_config_seed.to_dict()))
 
+    def test_only_the_requested_grids_are_checked(self, workspace, tmp_path):
+        """A grid that leaves ``intersect`` no point still tunes ``left``,
+        which does not read ``fuse_max_dist``."""
+        root, _ = workspace
+        cfg = tmp_path / "c.json"
+        write_config({**SMALL_CFG, "grid": {"fuse_max_dist": [0.5], "min_peak_gap": [0.4]}}, cfg)
+        assert cli_main(["tune", "--corpus", str(root / "corpus"), "--out", str(tmp_path / "tuned"),
+                         "--alg", "left", "--config", str(cfg)]) == 0
+        assert cli_main(["tune", "--corpus", str(root / "corpus"), "--out", str(tmp_path / "tuned"),
+                         "--alg", "intersect", "--config", str(cfg)]) == 1
+
 
 class TestDetect:
     def test_outputs(self, workspace):
@@ -397,6 +408,14 @@ BAD_INPUTS = [
     ("config_infinite_in_grid", "c.json", '{"version": 1, "grid": {"smooth_single": [0.1, Infinity]}}', "tune",
      "grid.smooth_single must be a non-empty list of finite numbers, not [0.1, inf]"),
     ("config_grid_not_object", "c.json", '{"version": 1, "grid": 0.1}', "tune", "grid"),
+    ("config_amp_out_of_range", "c.json", '{"version": 1, "grid": {"min_peak_amp": [-0.1]}}', "tune",
+     "c.json: min_peak_amp must lie in [0, 1]"),
+    ("config_negative_window", "c.json", '{"version": 1, "grid": {"smooth_single": [-0.1]}}', "tune",
+     "c.json: smooth_single must be >= 0"),
+    ("config_no_intersect_point", "c.json", '{"version": 1, "grid": {"fuse_max_dist": [0.5], "min_peak_gap": [0.4]}}',
+     "tune", "c.json: grid is empty after constraint filtering"),
+    ("config_no_recordings", "c.json", '{"version": 1, "corpus": {"tasks": {"slow_pace": 0, "fast_pace": 0}}}',
+     "simulate", "c.json: corpus.tasks must ask for at least one recording"),
     ("config_task_count", "c.json", '{"version": 1, "corpus": {"tasks": {"slow_pace": "x"}}}', "simulate",
      "corpus.tasks.slow_pace"),
     ("config_folds", "c.json", '{"version": 1, "cv": {"folds": "x"}}', "tune", "cv.folds"),
@@ -449,6 +468,9 @@ BAD_INPUTS = [
     ("manifest_recordings_not_object", "corpus/manifest.json",
      lambda text: json.dumps({**json.loads(text), "recordings": ["slow_pace_000"]}), "tune corpus",
      "manifest.json: "),
+    ("manifest_no_recordings", "corpus/manifest.json",
+     lambda text: json.dumps({**json.loads(text), "recordings": {}}), "tune corpus",
+     "manifest.json: 'recordings' must be an object naming at least one recording"),
     ("manifest_entry_without_files", "corpus/manifest.json", lambda text: text.replace('"files"', '"filez"', 1),
      "tune corpus", "manifest.json: "),
     ("manifest_missing_file", "corpus/manifest.json",

@@ -223,6 +223,7 @@ class TestPriorityKeys:
     def test_suppression_key(self, peaks, radius):
         group, times, amps, _ = peaks
         keep = greedy_nms(times, suppression_key(Pool(group, times, amps)), radius, group)
+        assert keep.dtype == np.bool_ and keep.shape == times.shape
         assert np.array_equal(keep, greedy_nms(times, priority_rank(times, -amps), radius, group))
         assert np.array_equal(keep, sequential_greedy(times, [(-a,) for a in amps], radius, group))
 
@@ -260,13 +261,18 @@ class TestPriorityKeys:
     def test_many_radii_in_one_call(self, peaks, radii):
         """A sequence of radii gives one keep mask per radius, in its order:
         one call per radius, and the sequential greedy loop, for the
-        suppression key and the union's complex key alike."""
+        suppression key and the union's complex key alike. No radii give no
+        rows, and an empty pool empty rows."""
         group, times, amps, src = peaks
         left, right = (Pool(group[src == s], times[src == s], amps[src == s]) for s in (0, 1))
         for key, priority in ((suppression_key(Pool(group, times, amps)), [(-a,) for a in amps]),
                               (union_merge(left, right)[1], list(zip(-amps, -src)))):
             keep = greedy_nms(times, key, radii, group)
-            assert keep.shape == (len(radii), len(times))
+            assert keep.dtype == np.bool_ and keep.shape == (len(radii), len(times))
+            assert greedy_nms(times, key, [], group).shape == (0, len(times))
+            for r in (radii, radii[0]):
+                empty = greedy_nms(times[:0], key[:0], r, group[:0])
+                assert empty.dtype == np.bool_ and empty.shape == np.shape(r) + (0,)
             for radius, row in zip(radii, keep):
                 assert np.array_equal(row, greedy_nms(times, key, radius, group))
                 assert np.array_equal(row, sequential_greedy(times, priority, radius, group))
