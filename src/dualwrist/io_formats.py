@@ -10,6 +10,7 @@ directory.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -26,6 +27,7 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 _COLUMNS = ("t", "ax", "ay", "az")
 _DIGESTS = "sha256"  # sidecar key: file name -> sha256 of each wrist's CSV and .npy
+_ROWS_PER_WRITE = 4096
 
 
 class FormatError(ValueError):
@@ -49,25 +51,45 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _time_column(series: TriaxialSeries) -> Tuple[np.ndarray, List[str]]:
-    """A wrist's timestamps ``t0 + i/rate`` and their CSV text."""
-    times = series.t0 + np.arange(len(series)) / series.rate
-    return times, float_text(times)
+def _time_column(series: TriaxialSeries) -> np.ndarray:
+    """A wrist's timestamps ``t0 + i/rate``."""
+    return series.t0 + np.arange(len(series)) / series.rate
 
 
-def _write_series(out_dir: Path, stem: str, series: TriaxialSeries,
-                  time_column: Tuple[np.ndarray, List[str]]) -> Dict[str, str]:
-    """Write ``stem.csv`` and its binary copy ``stem.npy``, with the
-    ``time_column`` of ``series``; returns the sha256 of each by file name."""
-    times, time_text = time_column
-    text = csv_text(",".join(_COLUMNS), [time_text, float_text(series.x), float_text(series.y), float_text(series.z)])
-    npy = io.BytesIO()
-    # The C-ordered (n, 4) float64 table that parsing the CSV yields.
-    np.save(npy, np.column_stack([times, series.x, series.y, series.z]))
+def _write_series(out_dir: Path, wrists: Dict[str, Tuple[TriaxialSeries, np.ndarray]]) -> Dict[str, str]:
+    """Write ``<stem>.csv`` and its binary copy ``<stem>.npy`` for each
+    ``stem -> (series, times)`` of ``wrists``; returns the sha256 of each
+    file by name. The CSVs are formatted, hashed and written
+    ``_ROWS_PER_WRITE`` rows at a time, so the text held is one block's,
+    and a block of a ``times`` array shared with the wrist before is
+    formatted once."""
     digests = {}
-    for name, data in ((f"{stem}.csv", text.encode()), (f"{stem}.npy", npy.getvalue())):
-        (out_dir / name).write_bytes(data)
-        digests[name] = _sha256(data)
+    for stem, (series, times) in wrists.items():
+        npy = io.BytesIO()
+        # The C-ordered (n, 4) float64 table that parsing the CSV yields.
+        np.save(npy, np.column_stack([times, series.x, series.y, series.z]))
+        with npy.getbuffer() as data:
+            (out_dir / f"{stem}.npy").write_bytes(data)
+            digests[f"{stem}.npy"] = _sha256(data)
+    header = f"{','.join(_COLUMNS)}\n".encode()
+    with contextlib.ExitStack() as stack:
+        csvs = {}
+        for stem, (series, times) in wrists.items():
+            out = stack.enter_context(open(out_dir / f"{stem}.csv", "wb"))
+            out.write(header)
+            csvs[f"{stem}.csv"] = (out, hashlib.sha256(header), series, times)
+        for start in range(0, max(len(series) for series, _ in wrists.values()), _ROWS_PER_WRITE):
+            block, shared = slice(start, start + _ROWS_PER_WRITE), None
+            for out, sha, series, times in csvs.values():
+                if start >= len(series):
+                    continue
+                if times is not shared:
+                    shared, time_text = times, float_text(times[block])
+                columns = [time_text, *(float_text(v[block]) for v in (series.x, series.y, series.z))]
+                data = ("\n".join(map(",".join, zip(*columns))) + "\n").encode()
+                out.write(data)
+                sha.update(data)
+    digests.update((name, sha.hexdigest()) for name, (_, sha, _, _) in csvs.items())
     return digests
 
 
@@ -255,8 +277,8 @@ def save_recording(rec: Recording, out_dir) -> Dict[str, str]:
     # 0.0 compare equal and give the same sums: -0.0 + 0.0 is 0.0.)
     same_base = (rec.right.t0, rec.right.rate, len(rec.right)) == (rec.left.t0, rec.left.rate, len(rec.left))
     right_times = left_times if same_base else _time_column(rec.right)
-    digests = {**_write_series(out_dir, f"{rec.id}_left", rec.left, left_times),
-               **_write_series(out_dir, f"{rec.id}_right", rec.right, right_times)}
+    digests = _write_series(out_dir, {f"{rec.id}_left": (rec.left, left_times),
+                                      f"{rec.id}_right": (rec.right, right_times)})
     sidecar = {
         "format_version": FORMAT_VERSION,
         "id": rec.id,
@@ -400,6 +422,8 @@ def load_corpus(corpus_dir) -> List[Recording]:
 
 
 def save_corpus(recordings: List[Recording], out_dir) -> None:
+    if not recordings:  # load_manifest refuses a manifest that names no recording
+        raise ValueError("a corpus to save needs at least one recording")
     # The manifest is the commit point: drop an old one before the first
     # recording is rewritten, so a save that stops partway commits nothing.
     (Path(out_dir) / MANIFEST_NAME).unlink(missing_ok=True)

@@ -69,6 +69,14 @@ def _held(hold: Dict, kind: Optional[AlgorithmId], make: Callable[[], Iterable])
     return hold[kind]
 
 
+def _taken(items: List) -> Iterator:
+    """Each of ``items`` in order, dropped from the list as it is taken, so
+    that the list keeps only what its reader has yet to take."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def _each(rids: Iterable[str], items: Iterable, make: Callable) -> Iterator:
     """``make`` of each recording's item, passing on a failed recording's
     message; a ``ValueError`` of ``make`` fails that recording alone, with a
@@ -102,9 +110,10 @@ class CorpusEngine:
     Within one call, ``_plan`` holds at most one thing per ``smooth_single``
     window while it builds that window's families: both wrists' smoothed
     magnitudes (about 30 MB on the default corpus), or each recording's
-    combined signal (``n_l + n_r`` or ``|n_r - n_l|``, half that size).
-    Candidates, smoothed and combined signals and fusion stage results last
-    one call.
+    combined signal (``n_l + n_r`` or ``|n_r - n_l|``, half that size). The
+    window's last family takes the held list apart as it builds, and
+    ``_build`` drops each recording's signals once its candidates are taken.
+    Candidates and fusion stage results last one call.
     """
 
     def __init__(self, recordings: Iterable[Recording]):
@@ -148,24 +157,27 @@ class CorpusEngine:
         """Family ``key``'s normalized candidates, one pool per stream, or
         none when every recording failed; its context, fitted over the
         recordings that have signals, and its failed recordings go to
-        ``_contexts``. The signals ``hold`` has no place for are dropped once
-        used (see ``_held``)."""
+        ``_contexts``. Each recording's signals are dropped once its
+        candidates are taken, and the signals it was made from once they
+        are used, unless ``hold`` keeps them (see ``_held``)."""
         alg, window, smooth_fused = key
         rids = list(self.recordings)
         signals = _held(hold, None, lambda: self._smoothed(window))
         if alg is not None:
             combined = _held(hold, alg, lambda: _each(rids, signals, lambda pair: combined_signal(*pair, alg)))
             signals = _each(rids, combined, lambda c: [fused_signal(c, smooth_fused)])
+            del combined  # its generators, and the last item they hold, end with the list below
         signals = list(signals)
         good = [streams for streams in signals if not isinstance(streams, str)]
         ctx = fit_normalization(s for streams in good for s in streams) if good else None
-        cands = list(_each(rids, signals, lambda streams: [candidate_peaks(min_max_normalize(s, ctx))
-                                                           for s in streams]))
+        empty = [PeakSet.empty()] * len(good[0]) if good else []
+        del good
+        cands = list(_each(rids, _taken(signals), lambda streams: [candidate_peaks(min_max_normalize(s, ctx))
+                                                                   for s in streams]))
         errors = {i: c for i, c in enumerate(cands) if isinstance(c, str)}
         self._contexts[key] = (ctx, errors)
         if len(errors) == len(cands):
             return []
-        empty = [PeakSet.empty()] * len(good[0])
         return [Pool.of(list(stream)) for stream in zip(*(empty if isinstance(c, str) else c for c in cands))]
 
     def _prepare(self, key: Tuple, floor: float, gaps: Iterable[float], hold: Dict) -> Errors:
@@ -197,13 +209,16 @@ class CorpusEngine:
         ``<alg> detection requires <field>``), and their last stage (see
         ``_last_stage``), or None when no recording has steps.
 
-        Requests are taken one ``smooth_single`` window at a time. Each
-        family is prepared once, at its requests' lowest ``min_peak_amp``
-        with all their gaps, and its groups are yielded before the next
-        low-level family evicts it. Between a window's builds the plan holds
-        both wrists' smoothed magnitudes when the window's families differ
-        in kind, the combined signal when they are all one low-level
-        detector's, and nothing for one family.
+        Requests are taken one ``smooth_single`` window at a time, its
+        single-side family first. Each family is prepared once, at its
+        requests' lowest ``min_peak_amp`` with all their gaps, and its groups
+        are yielded before the next low-level family evicts it. Between a
+        window's builds the plan holds both wrists' smoothed magnitudes when
+        the window's families differ in kind, the combined signal when they
+        are all one low-level detector's, and nothing for one family. The
+        window's last family, when it builds, consumes that list as it goes
+        (see ``_taken``), so each recording's held signals go once that
+        family has read them.
         """
         n = len(self.recordings)
         windows: Dict[float, Dict[Tuple, Dict[Tuple, List[int]]]] = {}
@@ -215,7 +230,12 @@ class CorpusEngine:
         for families in windows.values():
             kinds = {key[0] for key in families}  # None for the single-side family
             hold = dict.fromkeys(kinds if len(kinds) == 1 else [None]) if len(families) > 1 else {}
-            for key, groups in families.items():
+            # The single-side family reads the held pairs whole, so it comes
+            # first and a low-level family, which fuses them, comes last.
+            order = sorted(families.items(), key=lambda family: family[0][0] is not None)
+            for key, groups in order:
+                if key == order[-1][0]:
+                    hold = {kind: _taken(held) for kind, held in hold.items() if held is not None}
                 rows = [i for group in groups.values() for i in group]
                 floor = min(requests[i][1].min_peak_amp for i in rows)
                 gaps = dict.fromkeys(requests[i][1].min_peak_gap for i in rows)

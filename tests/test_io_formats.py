@@ -289,6 +289,24 @@ def test_csv_bytes_match_the_per_row_writer(rec, values, rate, t0, right_base):
     assert time_column.call_count == (1 if shared else 2)
 
 
+@pytest.mark.parametrize("right_n", [0, 1, -1])
+def test_csv_written_in_blocks_matches_the_per_row_writer(rec, right_n, monkeypatch, tmp_path):
+    """Blocks of 4 rows, with the right wrist as long as the left (sharing its
+    time column), a row longer or a row shorter, give the per-row bytes, and
+    the sidecar's digests are those of the files written."""
+    monkeypatch.setattr(io_formats, "_ROWS_PER_WRITE", 4)
+    n, rate = 13, rec.left.rate
+    left = TriaxialSeries(rate=rate, x=rec.left.x[:n], y=rec.left.y[:n], z=rec.left.z[:n], t0=0.5)
+    right = TriaxialSeries(rate=rate, x=rec.right.x[:n + right_n], y=rec.right.y[:n + right_n],
+                           z=rec.right.z[:n + right_n], t0=0.5 - right_n * 0.5 / rate)
+    save_corpus([dataclasses.replace(rec, left=left, right=right, duration=left.span)], tmp_path)
+    digests = json.loads((tmp_path / f"{rec.id}.json").read_text())["sha256"]
+    for side, series in (("left", left), ("right", right)):
+        assert (tmp_path / f"{rec.id}_{side}.csv").read_bytes() == _csv_by_row(series).encode()
+    assert digests == {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                       for path in tmp_path.iterdir() if path.suffix in (".csv", ".npy")}
+
+
 def _table_checks_by_row(table, rate, t0, sidecar_path):
     """``io_formats._table_checks`` as it first read, with one ``all``
     reduce per row for the finite mask: the oracle for the column-wise AND."""
@@ -379,6 +397,16 @@ class TestCorpusRoundTrip:
         # One new recording beside two old ones: nothing may load as a corpus.
         with pytest.raises(FormatError, match="manifest not found"):
             load_corpus(tmp_path)
+
+    def test_save_without_recordings_touches_nothing(self, corpus, tmp_path):
+        fresh = tmp_path / "fresh"
+        with pytest.raises(ValueError, match="at least one recording"):
+            save_corpus([], fresh)
+        assert not fresh.exists()
+        save_corpus(corpus, tmp_path / "old")
+        with pytest.raises(ValueError, match="at least one recording"):
+            save_corpus([], tmp_path / "old")
+        assert list(load_manifest(tmp_path / "old")["recordings"]) == sorted(r.id for r in corpus)
 
     def test_manifest_detects_missing_files(self, corpus, tmp_path):
         save_corpus(corpus, tmp_path)

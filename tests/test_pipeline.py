@@ -270,6 +270,55 @@ def test_evaluation_smooths_each_wrist_once_per_window(small_corpus, monkeypatch
         assert counts == {rec.id: len(fresh.steps(alg, rec.id, p)) for rec in small_corpus}
 
 
+def smoothed_alive_at_candidates(monkeypatch):
+    """At each of the engine's candidate calls, the low-level detector of the
+    family being built (None for the single-side family) and how many
+    smoothed magnitudes are still alive, told by weak references to each."""
+    refs, calls, building = [], [], [None]
+    smooth, build, candidates = pipeline.smoothed_magnitude, CorpusEngine._build, pipeline.candidate_peaks
+
+    def smoothed(rec, side, window):
+        series = smooth(rec, side, window)
+        refs.append(weakref.ref(series))
+        return series
+
+    def built(engine, key, hold):
+        building[0] = key[0]
+        return build(engine, key, hold)
+
+    def candidate(series):
+        calls.append((building[0], sum(ref() is not None for ref in refs)))
+        return candidates(series)
+
+    monkeypatch.setattr(pipeline, "smoothed_magnitude", smoothed)
+    monkeypatch.setattr(CorpusEngine, "_build", built)
+    monkeypatch.setattr(pipeline, "candidate_peaks", candidate)
+    return calls
+
+
+def test_build_drops_each_pair_once_its_candidates_are_taken(small_corpus, monkeypatch):
+    """A single-side build holds at most the last recording's pair of
+    smoothed magnitudes when it takes that recording's candidates."""
+    calls = smoothed_alive_at_candidates(monkeypatch)
+    CorpusEngine(small_corpus).detect({AlgorithmId.NO_FUSION_LEFT: PARAM_POINTS[0]})
+    assert len(calls) == 2 * len(small_corpus)  # each wrist of each recording
+    assert calls[-1] == (None, 2)
+
+
+@pytest.mark.parametrize("algs, consumer", [(LOW_LEVEL, AlgorithmId.LOW_LEVEL_DIFF),
+                                             ((AlgorithmId.LOW_LEVEL_SUM, AlgorithmId.HIGH_LEVEL_UNION),
+                                              AlgorithmId.LOW_LEVEL_SUM)])
+def test_last_family_on_a_window_consumes_the_held_pairs(small_corpus, algs, consumer, monkeypatch):
+    """Two families on one window hold both wrists' smoothed magnitudes for
+    the window's last family, a low-level one (``union``'s single-side
+    family is built first), which drops each pair as it fuses it: none is
+    alive when that family's candidates are taken."""
+    calls = smoothed_alive_at_candidates(monkeypatch)
+    CorpusEngine(small_corpus).detect(dict.fromkeys(algs, PARAM_POINTS[0]))
+    alive = [alive for alg, alive in calls if alg is consumer]
+    assert alive == [0] * len(small_corpus)
+
+
 def test_detect_builds_a_shared_family_once(small_corpus, monkeypatch):
     """Two detectors on one family at different amplitude thresholds build
     it once, at the lower threshold, and detect what fresh engines do."""
