@@ -36,10 +36,11 @@ Errors = Dict[int, str]  # recording index -> why it has no steps
 Stage = Tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[np.ndarray], Pool]]
 
 
-def _family_key(alg: AlgorithmId, params: DetectorParams) -> Tuple:
-    """The parameters that fix the signals ``alg`` detects on."""
+def _family_key(alg: AlgorithmId, params: DetectorParams) -> Optional[Tuple]:
+    """The parameters that fix the signals ``alg`` detects on, or None when
+    ``params`` lacks one of them."""
     if "smooth_fused" in DETECTORS[alg].params:
-        return (alg, params.smooth_single, params.smooth_fused)
+        return None if params.smooth_fused is None else (alg, params.smooth_single, params.smooth_fused)
     return (None, params.smooth_single, None)
 
 
@@ -58,17 +59,6 @@ def _tally(group: np.ndarray, values: np.ndarray, thresholds: np.ndarray, n: int
     return at_least[:, level_of + 1].T
 
 
-def _held(hold: Dict, kind: Optional[AlgorithmId], make: Callable[[], Iterable]) -> Iterable:
-    """``make()``'s signals of ``kind`` (None: both wrists' smoothed
-    magnitudes, else that algorithm's combined signal), kept in ``hold`` for
-    the window's later builds when ``hold`` has a place for ``kind``."""
-    if kind not in hold:
-        return make()
-    if hold[kind] is None:
-        hold[kind] = list(make())
-    return hold[kind]
-
-
 def _taken(items: List) -> Iterator:
     """Each of ``items`` in order, dropped from the list as it is taken, so
     that the list keeps only what its reader has yet to take."""
@@ -80,8 +70,9 @@ def _taken(items: List) -> Iterator:
 def _each(rids: Iterable[str], items: Iterable, make: Callable) -> Iterator:
     """``make`` of each recording's item, passing on a failed recording's
     message; a ``ValueError`` of ``make`` fails that recording alone, with a
-    message naming it."""
-    for rid, x in zip(rids, items):
+    message naming it. ``items`` is read to its end, so no generator it
+    comes from keeps its last item."""
+    for x, rid in zip(items, rids):
         if not isinstance(x, str):
             try:
                 x = make(x)
@@ -104,16 +95,13 @@ class CorpusEngine:
     - both wrists' gap-suppressed peaks per (``smooth_single``,
       ``min_peak_gap``) of the single-side families, about 1.4 MB each on
       the default corpus (24 of them, 34 MB, after tuning on the default
-      grid), plus those of the most recent low-level family;
+      grid);
     - the steps of the most recent ``detect`` call, one pool per algorithm.
 
-    Within one call, ``_plan`` holds at most one thing per ``smooth_single``
-    window while it builds that window's families: both wrists' smoothed
-    magnitudes (about 30 MB on the default corpus), or each recording's
-    combined signal (``n_l + n_r`` or ``|n_r - n_l|``, half that size). The
-    window's last family takes the held list apart as it builds, and
-    ``_build`` drops each recording's signals once its candidates are taken.
-    Candidates and fusion stage results last one call.
+    A low-level family's streams last while ``_plan`` yields its groups.
+    What the plan holds between a window's builds, at most both wrists'
+    smoothed magnitudes (about 30 MB on the default corpus), goes at the
+    window's last build. Candidates and fusion stage results last one call.
     """
 
     def __init__(self, recordings: Iterable[Recording]):
@@ -126,9 +114,10 @@ class CorpusEngine:
             raise ValueError("corpus must not be empty")
         self._index = {rid: i for i, rid in enumerate(self.recordings)}
         self._contexts: Dict[Tuple, Tuple[Optional[NormalizationContext], Errors]] = {}
-        # (family key, gap) -> (floor, each stream's candidates gated at floor
-        # and gap-suppressed). Streams kept at one floor serve every higher
-        # floor: the gated peaks are a prefix of the suppression order.
+        # (single-side family key, gap) -> (floor, both wrists' candidates
+        # gated at floor and gap-suppressed). Streams kept at one floor serve
+        # every higher floor: the gated peaks are a prefix of the suppression
+        # order.
         self._kept: Dict[Tuple, Tuple[float, List[Pool]]] = {}
         # (alg, params) -> (why each recording has no steps, its steps in the
         # others or None), from the most recent detect call.
@@ -153,52 +142,50 @@ class CorpusEngine:
                     break
             yield pair
 
-    def _build(self, key: Tuple, hold: Dict) -> List[Pool]:
+    def _combined(self, pairs: Iterable, alg: Optional[AlgorithmId]) -> Iterable:
+        """``alg``'s combined signal of each recording's wrist pair in
+        ``pairs``, or the pairs themselves when ``alg`` is None."""
+        return pairs if alg is None else _each(self.recordings, pairs, lambda pair: combined_signal(*pair, alg))
+
+    def _build(self, key: Tuple, source: Iterable) -> List[Pool]:
         """Family ``key``'s normalized candidates, one pool per stream, or
-        none when every recording failed; its context, fitted over the
-        recordings that have signals, and its failed recordings go to
+        none when every recording failed, from ``source``: each recording's
+        wrist pair for the single-side family, its combined signal for a
+        low-level one, or why it failed. The family's context, fitted over
+        the recordings that have signals, and its failed recordings go to
         ``_contexts``. Each recording's signals are dropped once its
-        candidates are taken, and the signals it was made from once they
-        are used, unless ``hold`` keeps them (see ``_held``)."""
+        candidates are taken, and what they were made from once it is used,
+        unless ``source`` is a list the plan holds."""
         alg, window, smooth_fused = key
-        rids = list(self.recordings)
-        signals = _held(hold, None, lambda: self._smoothed(window))
         if alg is not None:
-            combined = _held(hold, alg, lambda: _each(rids, signals, lambda pair: combined_signal(*pair, alg)))
-            signals = _each(rids, combined, lambda c: [fused_signal(c, smooth_fused)])
-            del combined  # its generators, and the last item they hold, end with the list below
-        signals = list(signals)
+            source = _each(self.recordings, source, lambda c: [fused_signal(c, smooth_fused)])
+        signals = list(source)
         good = [streams for streams in signals if not isinstance(streams, str)]
         ctx = fit_normalization(s for streams in good for s in streams) if good else None
         empty = [PeakSet.empty()] * len(good[0]) if good else []
         del good
-        cands = list(_each(rids, _taken(signals), lambda streams: [candidate_peaks(min_max_normalize(s, ctx))
-                                                                   for s in streams]))
-        errors = {i: c for i, c in enumerate(cands) if isinstance(c, str)}
-        self._contexts[key] = (ctx, errors)
-        if len(errors) == len(cands):
-            return []
+        cands = list(_each(self.recordings, _taken(signals),
+                           lambda streams: [candidate_peaks(min_max_normalize(s, ctx)) for s in streams]))
+        self._contexts[key] = (ctx, {i: c for i, c in enumerate(cands) if isinstance(c, str)})
         return [Pool.of(list(stream)) for stream in zip(*(empty if isinstance(c, str) else c for c in cands))]
 
-    def _prepare(self, key: Tuple, floor: float, gaps: Iterable[float], hold: Dict) -> Errors:
-        """Keep the streams of family ``key`` gated at ``floor`` or below and
-        gap-suppressed at each of ``gaps``; returns the family's failed
-        recordings. The family's candidates are built (see ``_build``) only
-        when a gap is missing. A single-side family keeps both wrists
-        whatever the algorithm, so ``left`` also keeps what ``right``,
-        ``intersect`` and ``union`` read."""
-        known = self._contexts.get(key)
-        if known is not None and len(known[1]) == len(self.recordings):
-            return known[1]
-        missing = [gap for gap in gaps if self._kept.get((key, gap), (math.inf,))[0] > floor]
+    def _prepare(self, key: Tuple, floor: float, gaps: Iterable[float], missing: List[float],
+                 source: Iterable) -> Tuple[Errors, Dict[float, List[Pool]]]:
+        """Family ``key``'s failed recordings and its streams gated at
+        ``floor`` or below and gap-suppressed at each of ``gaps``: kept ones,
+        and at the ``missing`` gaps ones built from ``source`` (see
+        ``_build``). Only a single-side family's streams are kept for later
+        calls, both wrists whatever the algorithm, so ``left`` also keeps
+        what ``right``, ``intersect`` and ``union`` read."""
+        streams = {gap: self._kept[(key, gap)][1] for gap in gaps if gap not in missing}
         if missing:
-            if key[0] is not None:  # low-level families are many: keep one at a time
-                self._kept = {k: v for k, v in self._kept.items() if k[0][0] is None or k[0] == key}
-            gated = [stream.gate(floor) for stream in self._build(key, hold)]
+            gated = [stream.gate(floor) for stream in self._build(key, source)]
             thinned = [stream.thin_each(suppression_key(stream), missing) for stream in gated]
             for u, gap in enumerate(missing):
-                self._kept[(key, gap)] = (floor, [stream[u] for stream in thinned])
-        return self._contexts[key][1]
+                streams[gap] = [stream[u] for stream in thinned]
+                if key[0] is None:
+                    self._kept[(key, gap)] = (floor, streams[gap])
+        return self._contexts[key][1], streams
 
     def _plan(self, requests: Sequence[Tuple[AlgorithmId, DetectorParams]]
               ) -> Iterator[Tuple[List[int], Errors, Optional[Stage]]]:
@@ -207,39 +194,46 @@ class CorpusEngine:
         threshold or in parameters their algorithm does not read, their
         positions, why each recording has no steps (its family's error, else
         ``<alg> detection requires <field>``), and their last stage (see
-        ``_last_stage``), or None when no recording has steps.
+        ``_last_stage``), or None when no recording has steps. A request
+        without a parameter of its family (see ``_family_key``) has none.
 
         Requests are taken one ``smooth_single`` window at a time, its
-        single-side family first. Each family is prepared once, at its
-        requests' lowest ``min_peak_amp`` with all their gaps, and its groups
-        are yielded before the next low-level family evicts it. Between a
-        window's builds the plan holds both wrists' smoothed magnitudes when
-        the window's families differ in kind, the combined signal when they
-        are all one low-level detector's, and nothing for one family. The
-        window's last family, when it builds, consumes that list as it goes
-        (see ``_taken``), so each recording's held signals go once that
-        family has read them.
+        single-side family, which reads the wrist pairs whole, before the
+        low-level families, which fuse them. Each family is prepared once, at
+        its requests' lowest ``min_peak_amp`` with all their gaps: the
+        single-side family builds at the gaps it does not keep at that floor,
+        a low-level family always, and its streams go once its groups are
+        yielded. A window that builds two or more families holds, from before
+        its first build, what they share: both wrists' smoothed magnitudes,
+        or one low-level detector's combined signals (``n_l + n_r`` or
+        ``|n_r - n_l|``, half that size) when they are all its. The window's
+        last build takes that list apart as it goes (see ``_taken``), so each
+        recording's held signals go once that build has read them.
         """
         n = len(self.recordings)
-        windows: Dict[float, Dict[Tuple, Dict[Tuple, List[int]]]] = {}
+        windows: Dict[float, Dict[Optional[Tuple], Dict[Tuple, List[int]]]] = {}
         for i, (alg, params) in enumerate(requests):
             detector = DETECTORS[alg]
             shared = [getattr(params, name) for name in detector.params if name != detector.threshold]
             family = windows.setdefault(params.smooth_single, {}).setdefault(_family_key(alg, params), {})
             family.setdefault((alg, *shared), []).append(i)
-        for families in windows.values():
-            kinds = {key[0] for key in families}  # None for the single-side family
-            hold = dict.fromkeys(kinds if len(kinds) == 1 else [None]) if len(families) > 1 else {}
-            # The single-side family reads the held pairs whole, so it comes
-            # first and a low-level family, which fuses them, comes last.
-            order = sorted(families.items(), key=lambda family: family[0][0] is not None)
-            for key, groups in order:
-                if key == order[-1][0]:
-                    hold = {kind: _taken(held) for kind, held in hold.items() if held is not None}
-                rows = [i for group in groups.values() for i in group]
-                floor = min(requests[i][1].min_peak_amp for i in rows)
-                gaps = dict.fromkeys(requests[i][1].min_peak_gap for i in rows)
-                errors = self._prepare(key, floor, gaps, hold)
+        for window, families in windows.items():
+            todo = []  # (key, groups, floor, gaps, the gaps to build at)
+            for key, groups in sorted(families.items(), key=lambda family: family[0] != (None, window, None)):
+                rows = [requests[i][1] for group in groups.values() for i in group]
+                floor, gaps = min(p.min_peak_amp for p in rows), dict.fromkeys(p.min_peak_gap for p in rows)
+                missing = [gap for gap in gaps if key and self._kept.get((key, gap), (math.inf,))[0] > floor]
+                todo.append((key, groups, floor, gaps, missing))
+            builds = [key for key, *_, missing in todo if missing]
+            kind = builds[0][0] if len({key[0] for key in builds}) == 1 else None  # None: the wrist pairs
+            fresh = self._combined(self._smoothed(window), kind)  # what the window's builds read
+            held = list(fresh) if len(builds) > 1 else None
+            for key, groups, floor, gaps, missing in todo:
+                errors, streams = {}, {}
+                if key is not None:
+                    signals = fresh if held is None else _taken(held) if key == builds[-1] else held
+                    source = signals if key[0] == kind else self._combined(signals, key[0])
+                    errors, streams = self._prepare(key, floor, gaps, missing, source)
                 # Each gap's union merge, thinned at once at every fuse_min_dist
                 # the family's union groups read: gap -> distance -> steps, None
                 # until the first of them is asked for.
@@ -249,37 +243,38 @@ class CorpusEngine:
                         unions.setdefault(params.min_peak_gap, {})[params.fuse_min_dist] = None
                 for group in groups.values():
                     alg = requests[group[0]][0]
-                    missing = next((name for name in DETECTORS[alg].params for i in group
-                                    if getattr(requests[i][1], name) is None), None)
+                    field = next((name for name in DETECTORS[alg].params for i in group
+                                  if getattr(requests[i][1], name) is None), None)
                     failed = errors
-                    if missing is not None:  # the family's errors first
-                        failed = {**errors, **{r: f"{alg.value} detection requires {missing}"
+                    if field is not None:  # the family's errors first
+                        failed = {**errors, **{r: f"{alg.value} detection requires {field}"
                                                for r in range(n) if r not in errors}}
-                    stage = None if len(failed) == n else self._last_stage(key, [requests[i] for i in group], unions)
-                    yield group, failed, stage
+                    yield group, failed, (None if len(failed) == n else
+                                          self._last_stage(streams, [requests[i] for i in group], unions))
+                del streams  # a low-level family's streams go before the next family builds
 
-    def _last_stage(self, key: Tuple, requests: Sequence[Tuple[AlgorithmId, DetectorParams]],
+    def _last_stage(self, streams: Dict[float, List[Pool]], requests: Sequence[Tuple[AlgorithmId, DetectorParams]],
                     unions: Dict[float, Dict[float, Optional[Pool]]]) -> Stage:
         """Every stage before the last threshold of ``requests``, which
         differ only in that threshold or in parameters their algorithm does
-        not read, from the kept streams of family ``key`` (see
-        ``_prepare``): each candidate's recording, the value that threshold
-        tests, each request's threshold, and a function from a keep mask of
-        the candidates to the steps.
+        not read, from their family's ``streams`` by gap (see ``_prepare``):
+        each candidate's recording, the value that threshold tests, each
+        request's threshold, and a function from a keep mask of the
+        candidates to the steps.
 
         The value is an amplitude, or for intersect a negated pair distance,
-        since a pair is kept within ``fuse_max_dist``. A kept stream may be
-        gated at a floor below ``min_peak_amp``. The gated peaks are a
-        prefix of the suppression and union priority orders, so the steps do
-        not depend on the floor; intersect pairs after its amplitude gate,
-        so it gates here. Union thins its gap's merge once, at every
-        distance in ``unions[gap]`` (see ``_plan``), and takes its own.
+        since a pair is kept within ``fuse_max_dist``. A stream may be gated
+        at a floor below ``min_peak_amp``. The gated peaks are a prefix of
+        the suppression and union priority orders, so the steps do not
+        depend on the floor; intersect pairs after its amplitude gate, so it
+        gates here. Union thins its gap's merge once, at every distance in
+        ``unions[gap]`` (see ``_plan``), and takes its own.
         """
         alg, params = requests[0]
         detector = DETECTORS[alg]
         thresholds = np.array([getattr(p, detector.threshold) for _, p in requests])
         gap = params.min_peak_gap
-        streams = [self._kept[(key, gap)][1][s] for s in detector.streams]
+        streams = [streams[gap][s] for s in detector.streams]
         if alg is AlgorithmId.HIGH_LEVEL_INTERSECT:
             left, right = (s.gate(params.min_peak_amp) for s in streams)
             nearest, dist = mutual_nearest(left.times, right.times, left.group, right.group)
@@ -296,8 +291,9 @@ class CorpusEngine:
     def context_for(self, alg: AlgorithmId, params: DetectorParams) -> NormalizationContext:
         key = _family_key(alg, params)
         if key not in self._contexts:
-            for _ in self._plan([(alg, params)]):
-                pass
+            for _, failed, _ in self._plan([(alg, params)]):
+                if key is None:  # no family: its parameters lack one it is made with
+                    raise ValueError(failed[0])
         ctx, errors = self._contexts[key]
         if ctx is None:
             raise ValueError(errors[0])
@@ -316,6 +312,7 @@ class CorpusEngine:
             if stage is not None:
                 _, values, (threshold,), select = stage
                 stage = select(values >= threshold)
+                del values, select  # as in count_tensor
             found[requests[i]] = (errors, stage)
         self._found = found
 
@@ -349,6 +346,6 @@ class CorpusEngine:
         for rows, errors, stage in self._plan(requests):
             if errors:
                 raise ValueError(next(iter(errors.values())))
-            group, values, thresholds, _ = stage
-            counts[rows] = _tally(group, values, thresholds, n)
+            counts[rows] = _tally(*stage[:3], n)  # each candidate's recording, its value, the thresholds
+            del stage  # a low-level family's streams go before the next family builds
         return counts

@@ -282,9 +282,9 @@ def smoothed_alive_at_candidates(monkeypatch):
         refs.append(weakref.ref(series))
         return series
 
-    def built(engine, key, hold):
+    def built(engine, key, *args):
         building[0] = key[0]
-        return build(engine, key, hold)
+        return build(engine, key, *args)
 
     def candidate(series):
         calls.append((building[0], sum(ref() is not None for ref in refs)))
@@ -317,6 +317,61 @@ def test_last_family_on_a_window_consumes_the_held_pairs(small_corpus, algs, con
     CorpusEngine(small_corpus).detect(dict.fromkeys(algs, PARAM_POINTS[0]))
     alive = [alive for alg, alive in calls if alg is consumer]
     assert alive == [0] * len(small_corpus)
+
+
+def test_low_level_family_builds_again_and_consumes_the_held_pairs(small_corpus, monkeypatch):
+    """A low-level family's streams last one call: after ``sum`` alone,
+    ``left`` and ``sum`` on that window build ``sum`` again, and it takes
+    the pairs held for it apart, so no smoothed magnitude is alive at any of
+    its candidate calls."""
+    calls = smoothed_alive_at_candidates(monkeypatch)
+    engine = CorpusEngine(small_corpus)
+    engine.detect({AlgorithmId.LOW_LEVEL_SUM: PARAM_POINTS[0]})
+    calls.clear()
+    engine.detect({AlgorithmId.NO_FUSION_LEFT: PARAM_POINTS[0], AlgorithmId.LOW_LEVEL_SUM: PARAM_POINTS[0]})
+    alive = [alive for alg, alive in calls if alg is AlgorithmId.LOW_LEVEL_SUM]
+    assert alive == [0] * len(small_corpus)
+
+
+def test_window_that_builds_once_holds_nothing(small_corpus, monkeypatch):
+    """With ``left``'s streams kept, ``left`` and ``sum`` on one window build
+    ``sum`` alone, so nothing is held: each recording's pair is the only one
+    alive when it is combined."""
+    engine = CorpusEngine(small_corpus)
+    engine.detect({AlgorithmId.NO_FUSION_LEFT: PARAM_POINTS[0]})
+    refs, alive = [], []
+    smooth, combine = pipeline.smoothed_magnitude, pipeline.combined_signal
+
+    def smoothed(rec, side, window):
+        series = smooth(rec, side, window)
+        refs.append(weakref.ref(series))
+        return series
+
+    def combined(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return combine(*args)
+
+    monkeypatch.setattr(pipeline, "smoothed_magnitude", smoothed)
+    monkeypatch.setattr(pipeline, "combined_signal", combined)
+    engine.detect({AlgorithmId.NO_FUSION_LEFT: PARAM_POINTS[0], AlgorithmId.LOW_LEVEL_SUM: PARAM_POINTS[0]})
+    assert alive == [2] * len(small_corpus)
+
+
+@pytest.mark.parametrize("alg", LOW_LEVEL)
+def test_request_without_smooth_fused_builds_and_holds_nothing(small_corpus, alg, monkeypatch):
+    """A low-level request without ``smooth_fused`` makes no family: it has
+    no context, and beside ``left`` on its window nothing is held, so
+    ``left``'s build holds only the last recording's pair at its last
+    candidate call."""
+    params = replace(PARAM_POINTS[0], smooth_fused=None)
+    calls = smoothed_alive_at_candidates(monkeypatch)
+    engine = CorpusEngine(small_corpus)
+    with pytest.raises(ValueError, match=f"{alg.value} detection requires smooth_fused"):
+        engine.context_for(alg, params)
+    assert calls == []
+    engine.detect({AlgorithmId.NO_FUSION_LEFT: PARAM_POINTS[0], alg: params})
+    assert len(calls) == 2 * len(small_corpus)  # each wrist of each recording, for left alone
+    assert calls[-1] == (None, 2)
 
 
 def test_detect_builds_a_shared_family_once(small_corpus, monkeypatch):
@@ -372,7 +427,9 @@ def test_fused_detectors_reuse_single_side_streams(small_corpus, monkeypatch):
 
 
 @pytest.mark.parametrize("alg, field", [(AlgorithmId.HIGH_LEVEL_INTERSECT, "fuse_max_dist"),
-                                        (AlgorithmId.HIGH_LEVEL_UNION, "fuse_min_dist")])
+                                        (AlgorithmId.HIGH_LEVEL_UNION, "fuse_min_dist"),
+                                        (AlgorithmId.LOW_LEVEL_SUM, "smooth_fused"),
+                                        (AlgorithmId.LOW_LEVEL_DIFF, "smooth_fused")])
 def test_missing_parameter_fails_every_recording_naming_it(small_corpus, alg, field):
     """A request without a parameter its detector reads fails every
     recording with one message naming the field: in steps, count_tensor and
@@ -439,6 +496,17 @@ def misaligned(rec):
     rec = replace(rec, right=replace(sensor, t0=sensor.t0 - 0.5 / sensor.rate, **longer))
     message = f"recording {rec.id!r}: left and right signals must be aligned sample-for-sample"
     return rec, message, list(LOW_LEVEL)
+
+
+def test_low_level_family_failing_everywhere_fails_again_in_the_next_call(small_corpus):
+    """A low-level family that failed every recording in one call fails
+    them again in the next, with the same messages, also at a higher
+    amplitude threshold."""
+    dataset, messages, _ = zip(*(misaligned(rec) for rec in small_corpus))
+    engine, alg = CorpusEngine(dataset), AlgorithmId.LOW_LEVEL_SUM
+    for params in (PARAM_POINTS[0], PARAM_POINTS[0], replace(PARAM_POINTS[0], min_peak_amp=0.3)):
+        rows = evaluate_corpus(dataset, [alg], {alg: params}, engine=engine).rows
+        assert [row.error for row in rows] == list(messages)
 
 
 @pytest.mark.parametrize("fault", [Side.LEFT, Side.RIGHT, "misaligned"])
