@@ -13,10 +13,11 @@ last stage: ``detect`` applies the threshold of its one request,
 An engine runs each expensive stage once. The plan builds each family once,
 one ``smooth_single`` window at a time, so both wrists are smoothed once per
 window, and chooses per window what it holds between that window's builds.
-Across calls, the engine keeps both wrists' gap-suppressed peaks per (window,
-gap), so ``left``, ``right``, ``intersect``, ``union`` and their evaluation
-share one build of each single-side family. What each detector reads is
-``core.DETECTORS``.
+Across calls, the engine keeps each build of a single-side family as one
+pool per wrist and a keep mask of it per gap, so ``left``, ``right``,
+``intersect``, ``union`` and their evaluation share one build of each
+single-side family, and a peak kept at several gaps is stored once. What
+each detector reads is ``core.DETECTORS``.
 """
 from __future__ import annotations
 
@@ -27,13 +28,15 @@ import numpy as np
 
 from .core import DETECTORS, AlgorithmId, DetectorParams, PeakSet, Recording, ScalarSeries, Side
 from .fusion import combined_signal, fused_signal, intersect, mutual_nearest, smoothed_magnitude, union_merge
-from .peaks import Pool, candidate_peaks, suppression_key
+from .peaks import Pool, candidate_peaks, greedy_nms, suppression_key
 from .preprocess import NormalizationContext, fit_normalization, min_max_normalize
 
 Errors = Dict[int, str]  # recording index -> why it has no steps
 # A group's last stage: each candidate's recording, the value its threshold
 # tests, each request's threshold, and the steps of a keep mask.
 Stage = Tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[np.ndarray], Pool]]
+# A stream at one gap: its build's pool and the keep mask of it at that gap.
+Kept = Tuple[Pool, np.ndarray]
 
 
 def _family_key(alg: AlgorithmId, params: DetectorParams) -> Optional[Tuple]:
@@ -67,6 +70,21 @@ def _taken(items: List) -> Iterator:
         yield items.pop()
 
 
+def _suppressed(stream: Pool, gaps: List[float]) -> Tuple[Pool, np.ndarray]:
+    """``stream`` suppressed at each of ``gaps`` in one ``greedy_nms`` call:
+    the peaks that one gap or more keeps, and each gap's keep mask of them,
+    a row each."""
+    keep = greedy_nms(stream.times, suppression_key(stream), gaps, stream.group)
+    anywhere = keep.any(axis=0)
+    return stream.select(anywhere), keep[:, anywhere]
+
+
+def _read(pool: Pool, keep: np.ndarray) -> Pool:
+    """The stream a kept pool and keep mask stand for: ``pool`` itself when
+    the mask keeps all of it, as it does for a build at one gap."""
+    return pool if keep.all() else pool.select(keep)
+
+
 def _each(rids: Iterable[str], items: Iterable, make: Callable) -> Iterator:
     """``make`` of each recording's item, passing on a failed recording's
     message; a ``ValueError`` of ``make`` fails that recording alone, with a
@@ -92,16 +110,19 @@ class CorpusEngine:
     Between calls the engine keeps, for the life of the engine:
 
     - each family's normalization context and failed recordings;
-    - both wrists' gap-suppressed peaks per (``smooth_single``,
-      ``min_peak_gap``) of the single-side families, about 1.4 MB each on
-      the default corpus (24 of them, 34 MB, after tuning on the default
-      grid);
+    - both wrists' gap-suppressed peaks of the single-side families: per
+      build, one pool per wrist of the peaks that one of its gaps or more
+      keeps, and per (``smooth_single``, ``min_peak_gap``) a keep mask of
+      each pool. After tuning on the default grid and corpus that is 4
+      builds, one per window, of 6 gaps each: 16.9 MB, where one pool per
+      wrist and gap would be 34 MB;
     - the steps of the most recent ``detect`` call, one pool per algorithm.
 
-    A low-level family's streams last while ``_plan`` yields its groups.
-    What the plan holds between a window's builds, at most both wrists'
-    smoothed magnitudes (about 30 MB on the default corpus), goes at the
-    window's last build. Candidates and fusion stage results last one call.
+    A low-level family's streams, and a call's reads of the kept ones, last
+    while ``_plan`` yields the family's groups. What the plan holds between
+    a window's builds, at most both wrists' smoothed magnitudes (about 30 MB
+    on the default corpus), goes at the window's last build. Candidates and
+    fusion stage results last one call.
     """
 
     def __init__(self, recordings: Iterable[Recording]):
@@ -115,10 +136,10 @@ class CorpusEngine:
         self._index = {rid: i for i, rid in enumerate(self.recordings)}
         self._contexts: Dict[Tuple, Tuple[Optional[NormalizationContext], Errors]] = {}
         # (single-side family key, gap) -> (floor, both wrists' candidates
-        # gated at floor and gap-suppressed). Streams kept at one floor serve
-        # every higher floor: the gated peaks are a prefix of the suppression
-        # order.
-        self._kept: Dict[Tuple, Tuple[float, List[Pool]]] = {}
+        # gated at floor and gap-suppressed, each its build's pool and keep
+        # mask). Streams kept at one floor serve every higher floor: the gated
+        # peaks are a prefix of the suppression order.
+        self._kept: Dict[Tuple, Tuple[float, List[Kept]]] = {}
         # (alg, params) -> (why each recording has no steps, its steps in the
         # others or None), from the most recent detect call.
         self._found: Dict[Tuple, Tuple[Errors, Optional[Pool]]] = {}
@@ -172,20 +193,27 @@ class CorpusEngine:
     def _prepare(self, key: Tuple, floor: float, gaps: Iterable[float], missing: List[float],
                  source: Iterable) -> Tuple[Errors, Dict[float, List[Pool]]]:
         """Family ``key``'s failed recordings and its streams gated at
-        ``floor`` or below and gap-suppressed at each of ``gaps``: kept ones,
-        and at the ``missing`` gaps ones built from ``source`` (see
-        ``_build``). Only a single-side family's streams are kept for later
-        calls, both wrists whatever the algorithm, so ``left`` also keeps
-        what ``right``, ``intersect`` and ``union`` read."""
-        streams = {gap: self._kept[(key, gap)][1] for gap in gaps if gap not in missing}
+        ``floor`` or below and gap-suppressed at each of ``gaps``, read once
+        per call (see ``_read``): kept ones, and at the ``missing`` gaps ones
+        built from ``source`` (see ``_build``).
+
+        A build suppresses each stream at all its missing gaps in one
+        ``greedy_nms`` call and keeps the peaks that one gap or more keeps:
+        one pool per stream, which every missing gap's mask selects from.
+        Only a single-side family's streams are kept for later calls, both
+        wrists whatever the algorithm, so ``left`` also keeps what
+        ``right``, ``intersect`` and ``union`` read; a gap built again at a
+        lower floor drops its masks of the old pools, which go with the
+        build's last kept gap."""
+        kept = {gap: self._kept[(key, gap)][1] for gap in gaps if gap not in missing}
         if missing:
             gated = [stream.gate(floor) for stream in self._build(key, source)]
-            thinned = [stream.thin_each(suppression_key(stream), missing) for stream in gated]
+            built = [_suppressed(stream, missing) for stream in _taken(gated)]
             for u, gap in enumerate(missing):
-                streams[gap] = [stream[u] for stream in thinned]
+                kept[gap] = [(pool, keep[u]) for pool, keep in built]
                 if key[0] is None:
-                    self._kept[(key, gap)] = (floor, streams[gap])
-        return self._contexts[key][1], streams
+                    self._kept[(key, gap)] = (floor, kept[gap])
+        return self._contexts[key][1], {gap: [_read(*stream) for stream in kept[gap]] for gap in gaps}
 
     def _plan(self, requests: Sequence[Tuple[AlgorithmId, DetectorParams]]
               ) -> Iterator[Tuple[List[int], Errors, Optional[Stage]]]:

@@ -426,6 +426,95 @@ def test_fused_detectors_reuse_single_side_streams(small_corpus, monkeypatch):
     assert calls == []
 
 
+def kept_pools(engine, window, gap):
+    """The floor and each wrist's (pool, keep mask) the engine keeps for the
+    single-side family of ``window`` at ``gap``."""
+    return engine._kept[((None, window, None), gap)]
+
+
+def kept_stream(engine, window, gap):
+    """Each wrist's kept stream at ``gap``: its pool's peaks that the gap's
+    mask keeps."""
+    return [pool.select(keep) for pool, keep in kept_pools(engine, window, gap)[1]]
+
+
+def pool_bytes(pool):
+    return pool.group.nbytes + pool.times.nbytes + pool.amps.nbytes
+
+
+def test_single_side_build_keeps_one_pool_per_wrist_and_a_mask_per_gap(small_corpus):
+    """One build at several gaps keeps one pool per wrist, shared by every
+    gap's entry, holding only peaks some gap keeps; each gap's mask selects
+    the stream a fresh engine keeps for that gap alone, which is read as
+    its pool itself, not a copy."""
+    left, window, gaps = AlgorithmId.NO_FUSION_LEFT, 0.1, (0.16, 0.22, 0.28, 0.4)
+    requests = [(left, DetectorParams(smooth_single=window, min_peak_amp=0.04, min_peak_gap=gap)) for gap in gaps]
+    engine = CorpusEngine(small_corpus)
+    engine.count_tensor(requests)
+    entries = [kept_pools(engine, window, gap)[1] for gap in gaps]
+    for side in range(2):
+        pools = [entry[side][0] for entry in entries]
+        assert all(pool is pools[0] for pool in pools)
+        assert np.logical_or.reduce([entry[side][1] for entry in entries]).all()
+    for gap, request in zip(gaps, requests):
+        fresh = CorpusEngine(small_corpus)
+        fresh.count_tensor([request])
+        assert all(pipeline._read(pool, keep) is pool for pool, keep in kept_pools(fresh, window, gap)[1])
+        for got, alone in zip(kept_stream(engine, window, gap), kept_stream(fresh, window, gap)):
+            for field in ("group", "times", "amps"):
+                assert np.array_equal(getattr(got, field), getattr(alone, field))
+
+
+def test_gap_rebuilt_at_a_lower_floor_leaves_the_others_on_the_first_build(small_corpus):
+    """A call below a gap's floor builds that gap alone; the other gaps
+    still read the first build's pools, which go once every gap is built
+    again. Steps and counts stay those of a fresh engine."""
+    left, right = AlgorithmId.NO_FUSION_LEFT, AlgorithmId.NO_FUSION_RIGHT
+    window, gaps = 0.1, (0.22, 0.4)
+    at = {(amp, gap): DetectorParams(smooth_single=window, min_peak_amp=amp, min_peak_gap=gap)
+          for amp in (0.04, 0.2) for gap in gaps}
+    rids = [rec.id for rec in small_corpus]
+    engine = CorpusEngine(small_corpus)
+
+    def agrees(alg, params):
+        fresh = CorpusEngine(small_corpus)
+        assert [engine.steps(alg, rid, params) for rid in rids] == [fresh.steps(alg, rid, params) for rid in rids]
+        for gap in gaps:  # one call per gap: a call builds all its gaps at its lowest amplitude
+            served = [(a, at[(amp, gap)]) for a in (left, right) for amp in (0.04, 0.2)
+                      if amp >= kept_pools(engine, window, gap)[0]]
+            assert engine.count_tensor(served).tolist() == CorpusEngine(small_corpus).count_tensor(served).tolist()
+
+    engine.count_tensor([(left, at[(0.2, gap)]) for gap in gaps])
+    first = [weakref.ref(pool) for pool, _ in kept_pools(engine, window, gaps[0])[1]]
+    agrees(left, at[(0.2, gaps[1])])
+    agrees(left, at[(0.04, gaps[0])])
+    assert kept_pools(engine, window, gaps[0])[0] == 0.04
+    assert kept_pools(engine, window, gaps[1])[0] == 0.2
+    assert all(pool is ref() for (pool, _), ref in zip(kept_pools(engine, window, gaps[1])[1], first))
+    assert not any(pool is ref() for (pool, _), ref in zip(kept_pools(engine, window, gaps[0])[1], first))
+    gc.disable()
+    try:
+        agrees(right, at[(0.04, gaps[1])])
+        assert [ref() for ref in first] == [None, None]
+    finally:
+        gc.enable()
+    assert [kept_pools(engine, window, gap)[0] for gap in gaps] == [0.04, 0.04]
+
+
+def test_tuning_keeps_half_the_bytes_of_one_stream_per_gap(small_corpus):
+    """After tuning all six detectors, the kept pools and masks hold under
+    0.55 of the bytes that each gap's own streams would (0.49 measured on
+    this corpus, 0.50 on the default one)."""
+    engine = CorpusEngine(small_corpus)
+    cross_validate_study(small_corpus, list(AlgorithmId), ParamGrid(), k=2, engine=engine)
+    kept = [stream for _, streams in engine._kept.values() for stream in streams]
+    pools = {id(pool): pool for pool, _ in kept}
+    held = sum(map(pool_bytes, pools.values())) + sum(keep.nbytes for _, keep in kept)
+    per_gap = sum(pool_bytes(pool.select(keep)) for pool, keep in kept)
+    assert len(engine._kept) == 24 and len(pools) == 8  # 4 windows x 6 gaps, one build per window
+    assert held < 0.55 * per_gap
+
+
 @pytest.mark.parametrize("alg, field", [(AlgorithmId.HIGH_LEVEL_INTERSECT, "fuse_max_dist"),
                                         (AlgorithmId.HIGH_LEVEL_UNION, "fuse_min_dist"),
                                         (AlgorithmId.LOW_LEVEL_SUM, "smooth_fused"),
