@@ -8,13 +8,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import (
-    _is_number,
-    corpus_spec_from_config,
-    default_config,
-    grid_from_config,
-    load_config,
-)
+from .config import corpus_spec_from_config, default_config, grid_from_config, load_config
 from .core import AlgorithmId, DetectorParams, Recording, WalkTask, required_param_fields
 from .evaluate import summarize_counts
 from .io_formats import (
@@ -108,9 +102,6 @@ def _params_for(alg: AlgorithmId, params_path: str) -> DetectorParams:
     missing = [name for name in required_param_fields(alg) if name not in d]
     if missing:
         raise FormatError(f"{where}: missing {', '.join(missing)}")
-    for name, v in d.items():
-        if not _is_number(v):
-            raise FormatError(f"{where}: {name} must be a number, not {v!r}")
     try:
         return DetectorParams.from_dict(d)
     except ValueError as exc:

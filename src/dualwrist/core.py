@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import NamedTuple, Optional, Tuple
@@ -231,7 +232,7 @@ class DetectorParams:
 
     Windows are in seconds; ``min_peak_amp`` applies to the min-max normalized
     signal. Optional fields are only required by the pipelines that use them,
-    and every field that is set must be finite.
+    and every field that is set must be a finite real number, not a bool.
     """
 
     smooth_single: float
@@ -247,6 +248,8 @@ class DetectorParams:
             if v is None:
                 if f.default is MISSING:  # every detector reads the fields without a default
                     raise ValueError(f"{f.name} must be set")
+            elif isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{f.name} must be a number, not {v!r}")
             elif not math.isfinite(v):
                 raise ValueError(f"{f.name} must be finite, not {v!r}")
             elif v < 0 and f.name != "min_peak_amp":

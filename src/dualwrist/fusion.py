@@ -144,4 +144,4 @@ def union_fuse(t_left: PeakSet, t_right: PeakSet, min_dist: float) -> PeakSet:
     if min_dist < 0:
         raise ValueError("min_dist must be >= 0")
     merged, key = union_merge(Pool.of([t_left]), Pool.of([t_right]))
-    return merged.thin(key, min_dist).peaks(0)
+    return merged.thin(key, [min_dist])[0].peaks(0)

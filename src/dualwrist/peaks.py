@@ -3,7 +3,7 @@ one recording or on a :class:`Pool` of many recordings at once."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +53,11 @@ class Pool:
         )
 
     def select(self, mask: np.ndarray) -> "Pool":
+        """The peaks ``mask`` keeps: the pool itself when it keeps them all.
+        A pool's arrays are never written into once it is made, so a
+        selection may share them."""
+        if mask.all():
+            return self
         # One index list for the three arrays: a boolean index of each is
         # several times slower on the irregular masks of thinning and gating.
         kept = np.flatnonzero(mask)
@@ -61,15 +66,14 @@ class Pool:
     def gate(self, min_amp: float) -> "Pool":
         return self.select(self.amps >= min_amp)
 
-    def thin(self, key: np.ndarray, radius: float) -> "Pool":
+    def thin(self, key: np.ndarray, radii: Sequence[float]) -> Tuple["Pool", np.ndarray]:
         """Greedy non-maximum suppression within each recording, smallest
-        ``key`` first (see :func:`greedy_nms`)."""
-        return self.select(greedy_nms(self.times, key, radius, self.group))
-
-    def thin_each(self, key: np.ndarray, radii: Sequence[float]) -> List["Pool"]:
-        """``[self.thin(key, r) for r in radii]`` from one :func:`greedy_nms`
-        call."""
-        return [self.select(keep) for keep in greedy_nms(self.times, key, radii, self.group)]
+        ``key`` first (see :func:`greedy_nms`), at each of ``radii`` in one
+        call: the peaks that one radius or more keeps, and each radius's
+        keep mask of them, a row each."""
+        keep = greedy_nms(self.times, key, radii, self.group)
+        anywhere = keep.any(axis=0)
+        return self.select(anywhere), keep[:, anywhere]
 
     def peaks(self, i: int) -> PeakSet:
         lo, hi = np.searchsorted(self.group, [i, i + 1])
@@ -189,7 +193,7 @@ def suppress_peaks(peaks: PeakSet, min_amp: float, min_gap: float) -> PeakSet:
     to amplitudes ``>= a``.
     """
     pool = Pool.of([peaks]).gate(min_amp)
-    return pool.thin(suppression_key(pool), min_gap).peaks(0)
+    return pool.thin(suppression_key(pool), [min_gap])[0].peaks(0)
 
 
 def detect_peaks(series: ScalarSeries, min_amp: float, min_gap: float) -> PeakSet:

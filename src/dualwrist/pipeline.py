@@ -13,29 +13,34 @@ last stage: ``detect`` applies the threshold of its one request,
 An engine runs each expensive stage once. The plan builds each family once,
 one ``smooth_single`` window at a time, so both wrists are smoothed once per
 window, and chooses per window what it holds between that window's builds.
-Across calls, the engine keeps each build of a single-side family as one
-pool per wrist and a keep mask of it per gap, so ``left``, ``right``,
+Every thinned stream has one form, that of ``Pool.thin``: one pool of the
+peaks that one radius or more keeps, and a keep mask of it per radius.
+Across calls, the engine keeps each build of a single-side family in that
+form, one pool per wrist and a mask per gap, so ``left``, ``right``,
 ``intersect``, ``union`` and their evaluation share one build of each
-single-side family, and a peak kept at several gaps is stored once. What
-each detector reads is ``core.DETECTORS``.
+single-side family, and a peak kept at several gaps is stored once. Union
+thins each gap's merge into that form at all its distances. What each
+detector reads is ``core.DETECTORS``; a call reads only those streams.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Container, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import DETECTORS, AlgorithmId, DetectorParams, PeakSet, Recording, ScalarSeries, Side
 from .fusion import combined_signal, fused_signal, intersect, mutual_nearest, smoothed_magnitude, union_merge
-from .peaks import Pool, candidate_peaks, greedy_nms, suppression_key
+from .peaks import Pool, candidate_peaks, suppression_key
 from .preprocess import NormalizationContext, fit_normalization, min_max_normalize
 
 Errors = Dict[int, str]  # recording index -> why it has no steps
 # A group's last stage: each candidate's recording, the value its threshold
 # tests, each request's threshold, and the steps of a keep mask.
 Stage = Tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[np.ndarray], Pool]]
-# A stream at one gap: its build's pool and the keep mask of it at that gap.
+# A stream thinned at one radius, a gap or a union distance: the pool that
+# ``Pool.thin`` gave at every radius of its call, and the keep mask of it at
+# that radius.
 Kept = Tuple[Pool, np.ndarray]
 
 
@@ -70,21 +75,6 @@ def _taken(items: List) -> Iterator:
         yield items.pop()
 
 
-def _suppressed(stream: Pool, gaps: List[float]) -> Tuple[Pool, np.ndarray]:
-    """``stream`` suppressed at each of ``gaps`` in one ``greedy_nms`` call:
-    the peaks that one gap or more keeps, and each gap's keep mask of them,
-    a row each."""
-    keep = greedy_nms(stream.times, suppression_key(stream), gaps, stream.group)
-    anywhere = keep.any(axis=0)
-    return stream.select(anywhere), keep[:, anywhere]
-
-
-def _read(pool: Pool, keep: np.ndarray) -> Pool:
-    """The stream a kept pool and keep mask stand for: ``pool`` itself when
-    the mask keeps all of it, as it does for a build at one gap."""
-    return pool if keep.all() else pool.select(keep)
-
-
 def _each(rids: Iterable[str], items: Iterable, make: Callable) -> Iterator:
     """``make`` of each recording's item, passing on a failed recording's
     message; a ``ValueError`` of ``make`` fails that recording alone, with a
@@ -113,16 +103,18 @@ class CorpusEngine:
     - both wrists' gap-suppressed peaks of the single-side families: per
       build, one pool per wrist of the peaks that one of its gaps or more
       keeps, and per (``smooth_single``, ``min_peak_gap``) a keep mask of
-      each pool. After tuning on the default grid and corpus that is 4
-      builds, one per window, of 6 gaps each: 16.9 MB, where one pool per
-      wrist and gap would be 34 MB;
+      each pool (see ``Pool.thin``). After tuning on the default grid and
+      corpus that is 4 builds, one per window, of 6 gaps each: 16.9 MB,
+      where one pool per wrist and gap would be 34 MB;
     - the steps of the most recent ``detect`` call, one pool per algorithm.
 
-    A low-level family's streams, and a call's reads of the kept ones, last
-    while ``_plan`` yields the family's groups. What the plan holds between
-    a window's builds, at most both wrists' smoothed magnitudes (about 30 MB
-    on the default corpus), goes at the window's last build. Candidates and
-    fusion stage results last one call.
+    A low-level family's streams, and a call's reads of the kept ones, of
+    the wrists its detectors detect on, last while ``_plan`` yields the
+    family's groups; each gap's thinned union merge goes once its last
+    distance is read. What the plan holds between a window's builds, at
+    most both wrists' smoothed magnitudes (about 30 MB on the default
+    corpus), goes at the window's last build. Candidates and fusion stage
+    results last one call.
     """
 
     def __init__(self, recordings: Iterable[Recording]):
@@ -191,14 +183,16 @@ class CorpusEngine:
         return [Pool.of(list(stream)) for stream in zip(*(empty if isinstance(c, str) else c for c in cands))]
 
     def _prepare(self, key: Tuple, floor: float, gaps: Iterable[float], missing: List[float],
-                 source: Iterable) -> Tuple[Errors, Dict[float, List[Pool]]]:
-        """Family ``key``'s failed recordings and its streams gated at
-        ``floor`` or below and gap-suppressed at each of ``gaps``, read once
-        per call (see ``_read``): kept ones, and at the ``missing`` gaps ones
-        built from ``source`` (see ``_build``).
+                 source: Iterable, reads: Container[int]) -> Tuple[Errors, Dict[float, Dict[int, Pool]]]:
+        """Family ``key``'s failed recordings and, of its streams, the
+        ``reads`` (see ``Detector.streams``) gated at ``floor`` or below and
+        gap-suppressed at each of ``gaps``, read once per call as
+        ``pool.select(keep)``: kept ones, and at the ``missing`` gaps ones
+        built from ``source`` (see ``_build``). A family that failed every
+        recording has no streams, and reads none.
 
-        A build suppresses each stream at all its missing gaps in one
-        ``greedy_nms`` call and keeps the peaks that one gap or more keeps:
+        A build thins each stream at all its missing gaps in one
+        ``Pool.thin`` call, which keeps the peaks that one gap or more keeps:
         one pool per stream, which every missing gap's mask selects from.
         Only a single-side family's streams are kept for later calls, both
         wrists whatever the algorithm, so ``left`` also keeps what
@@ -208,12 +202,13 @@ class CorpusEngine:
         kept = {gap: self._kept[(key, gap)][1] for gap in gaps if gap not in missing}
         if missing:
             gated = [stream.gate(floor) for stream in self._build(key, source)]
-            built = [_suppressed(stream, missing) for stream in _taken(gated)]
+            built = [stream.thin(suppression_key(stream), missing) for stream in _taken(gated)]
             for u, gap in enumerate(missing):
                 kept[gap] = [(pool, keep[u]) for pool, keep in built]
                 if key[0] is None:
                     self._kept[(key, gap)] = (floor, kept[gap])
-        return self._contexts[key][1], {gap: [_read(*stream) for stream in kept[gap]] for gap in gaps}
+        return self._contexts[key][1], {gap: {s: pool.select(keep) for s, (pool, keep) in enumerate(kept[gap])
+                                              if s in reads} for gap in gaps}
 
     def _plan(self, requests: Sequence[Tuple[AlgorithmId, DetectorParams]]
               ) -> Iterator[Tuple[List[int], Errors, Optional[Stage]]]:
@@ -228,10 +223,10 @@ class CorpusEngine:
         Requests are taken one ``smooth_single`` window at a time, its
         single-side family, which reads the wrist pairs whole, before the
         low-level families, which fuse them. Each family is prepared once, at
-        its requests' lowest ``min_peak_amp`` with all their gaps: the
-        single-side family builds at the gaps it does not keep at that floor,
-        a low-level family always, and its streams go once its groups are
-        yielded. A window that builds two or more families holds, from before
+        its requests' lowest ``min_peak_amp`` with all their gaps, reading
+        only the streams its groups detect on: the single-side family builds
+        at the gaps it does not keep at that floor, a low-level family
+        always, and its streams go once its groups are yielded. A window that builds two or more families holds, from before
         its first build, what they share: both wrists' smoothed magnitudes,
         or one low-level detector's combined signals (``n_l + n_r`` or
         ``|n_r - n_l|``, half that size) when they are all its. The window's
@@ -261,11 +256,13 @@ class CorpusEngine:
                 if key is not None:
                     signals = fresh if held is None else _taken(held) if key == builds[-1] else held
                     source = signals if key[0] == kind else self._combined(signals, key[0])
-                    errors, streams = self._prepare(key, floor, gaps, missing, source)
-                # Each gap's union merge, thinned at once at every fuse_min_dist
-                # the family's union groups read: gap -> distance -> steps, None
-                # until the first of them is asked for.
-                unions: Dict[float, Dict[float, Optional[Pool]]] = {}
+                    reads = {s for group in groups.values() for s in DETECTORS[requests[group[0]][0]].streams}
+                    errors, streams = self._prepare(key, floor, gaps, missing, source, reads)
+                # Each gap's union merge, thinned once at every fuse_min_dist
+                # the family's union groups read: gap -> distance -> the thinned
+                # merge and that distance's keep mask of it, None until the
+                # first of them is asked for.
+                unions: Dict[float, Dict[float, Optional[Kept]]] = {}
                 for alg, params in (requests[group[0]] for group in groups.values()):
                     if "fuse_min_dist" in DETECTORS[alg].params and params.fuse_min_dist is not None:
                         unions.setdefault(params.min_peak_gap, {})[params.fuse_min_dist] = None
@@ -281,11 +278,13 @@ class CorpusEngine:
                                           self._last_stage(streams, [requests[i] for i in group], unions))
                 del streams  # a low-level family's streams go before the next family builds
 
-    def _last_stage(self, streams: Dict[float, List[Pool]], requests: Sequence[Tuple[AlgorithmId, DetectorParams]],
-                    unions: Dict[float, Dict[float, Optional[Pool]]]) -> Stage:
+    def _last_stage(self, streams: Dict[float, Dict[int, Pool]],
+                    requests: Sequence[Tuple[AlgorithmId, DetectorParams]],
+                    unions: Dict[float, Dict[float, Optional[Kept]]]) -> Stage:
         """Every stage before the last threshold of ``requests``, which
         differ only in that threshold or in parameters their algorithm does
-        not read, from their family's ``streams`` by gap (see ``_prepare``):
+        not read, from their family's ``streams`` by gap and stream, those
+        their detector detects on (see ``_prepare``):
         each candidate's recording, the value that threshold tests, each
         request's threshold, and a function from a keep mask of the
         candidates to the steps.
@@ -296,7 +295,9 @@ class CorpusEngine:
         the suppression and union priority orders, so the steps do not
         depend on the floor; intersect pairs after its amplitude gate, so it
         gates here. Union thins its gap's merge once, at every distance in
-        ``unions[gap]`` (see ``_plan``), and takes its own.
+        ``unions[gap]`` (see ``_plan``), into one pool and a keep mask per
+        distance, and selects its own distance's steps with its mask; the
+        pool goes with the gap's last distance.
         """
         alg, params = requests[0]
         detector = DETECTORS[alg]
@@ -312,8 +313,10 @@ class CorpusEngine:
             if thinned[params.fuse_min_dist] is None:
                 merged, priority = union_merge(*streams)
                 dists = list(thinned)
-                thinned.update(zip(dists, merged.thin_each(priority, dists)))
-            streams = [thinned.pop(params.fuse_min_dist)]  # each distance's group comes once
+                pool, keep = merged.thin(priority, dists)
+                thinned.update((dist, (pool, row)) for dist, row in zip(dists, keep))
+            pool, keep = thinned.pop(params.fuse_min_dist)  # each distance's group comes once
+            streams = [pool.select(keep)]
         return streams[0].group, streams[0].amps, thresholds, streams[0].select
 
     def context_for(self, alg: AlgorithmId, params: DetectorParams) -> NormalizationContext:

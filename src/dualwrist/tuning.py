@@ -115,27 +115,6 @@ def _best_row(counts: np.ndarray, labels: np.ndarray) -> int:
     return int(np.argmin([rmse(row, labels) for row in counts]))
 
 
-def grid_search(
-    train: Sequence[Recording],
-    alg: AlgorithmId,
-    grid: ParamGrid,
-    engine: Optional[CorpusEngine] = None,
-) -> DetectorParams:
-    """Exhaustive search minimizing step-count RMSE over ``train``.
-
-    Ties keep the earliest grid point in declared field order. ``engine``
-    supplies corpus-level normalization contexts and counts; it defaults to an
-    engine over ``train`` alone.
-    """
-    if not train:
-        raise ValueError("training set must not be empty")
-    labels = _labels(train)
-    engine = engine or CorpusEngine(train)
-    points = grid.points(alg)
-    counts = engine.count_tensor([(alg, p) for p in points])[:, engine.columns(train)]
-    return points[_best_row(counts, labels)]
-
-
 def _mean_params(fold_params: Sequence[DetectorParams]) -> DetectorParams:
     kwargs = {}
     for name in PARAM_FIELD_ORDER:

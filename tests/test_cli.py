@@ -392,6 +392,8 @@ BAD_INPUTS = [
     ("params_truncated", "p.json", '{"smooth_single": 0.1,', "detect left", "'left'"),
     ("params_string_value", "p.json", '{"smooth_single": "x", "min_peak_amp": 0.1, "min_peak_gap": 0.4}',
      "detect left", "smooth_single"),
+    ("params_string_amplitude", "p.json", '{"smooth_single": 0.1, "min_peak_amp": "0.1", "min_peak_gap": 0.4}',
+     "detect left", "'left': min_peak_amp must be a number, not '0.1'"),
     ("params_infinite_window", "p.json", '{"smooth_single": Infinity, "min_peak_amp": 0.1, "min_peak_gap": 0.4}',
      "detect left", "'left': smooth_single must be finite, not inf"),
     ("params_nan_gap", "p.json", '{"smooth_single": 0.1, "min_peak_amp": 0.1, "min_peak_gap": NaN}',

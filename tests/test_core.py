@@ -1,4 +1,6 @@
 """Domain types: series, recordings, peak sets, detector parameters."""
+import re
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,17 @@ class TestDetectorParams:
         kwargs = {"smooth_single": 0.1, "min_peak_amp": 0.1, "min_peak_gap": 0.3, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be finite, not {value!r}$"):
             DetectorParams(**kwargs)
+
+    @pytest.mark.parametrize("name", PARAM_FIELD_ORDER)
+    @pytest.mark.parametrize("value", [True, "0.1", [0.1]], ids=["bool", "str", "list"])
+    def test_set_fields_must_be_numbers(self, name, value):
+        kwargs = {"smooth_single": 0.1, "min_peak_amp": 0.1, "min_peak_gap": 0.3, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a number, not {re.escape(repr(value))}$"):
+            DetectorParams(**kwargs)
+
+    def test_numpy_scalars_are_numbers(self):
+        p = DetectorParams(smooth_single=np.float32(0.25), min_peak_amp=np.float64(0.1), min_peak_gap=np.int64(0))
+        assert (p.smooth_single, p.min_peak_amp, p.min_peak_gap) == (0.25, 0.1, 0)
 
     def test_fuse_max_dist_bounded_by_gap(self):
         DetectorParams(smooth_single=0.1, min_peak_amp=0.1, min_peak_gap=0.3,

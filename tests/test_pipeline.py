@@ -32,6 +32,7 @@ from dualwrist import (
 )
 from dualwrist import pipeline
 from dualwrist.fusion import mutual_nearest, smoothed_magnitude
+from dualwrist.peaks import Pool
 
 from conftest import fused, recording_from_signals
 
@@ -459,10 +460,41 @@ def test_single_side_build_keeps_one_pool_per_wrist_and_a_mask_per_gap(small_cor
     for gap, request in zip(gaps, requests):
         fresh = CorpusEngine(small_corpus)
         fresh.count_tensor([request])
-        assert all(pipeline._read(pool, keep) is pool for pool, keep in kept_pools(fresh, window, gap)[1])
+        assert all(pool.select(keep) is pool for pool, keep in kept_pools(fresh, window, gap)[1])
         for got, alone in zip(kept_stream(engine, window, gap), kept_stream(fresh, window, gap)):
             for field in ("group", "times", "amps"):
                 assert np.array_equal(getattr(got, field), getattr(alone, field))
+
+
+def test_a_call_reads_only_the_wrists_its_detectors_read(small_corpus, monkeypatch):
+    """A left call on an engine that keeps both wrists at its gaps selects
+    from the left wrist's kept pool alone."""
+    left, window, gaps = AlgorithmId.NO_FUSION_LEFT, 0.1, (0.16, 0.46)
+    requests = [(left, DetectorParams(smooth_single=window, min_peak_amp=0.04, min_peak_gap=gap)) for gap in gaps]
+    engine = CorpusEngine(small_corpus)
+    counts = engine.count_tensor(requests)
+    selected = []
+    real = Pool.select
+    monkeypatch.setattr(Pool, "select", lambda pool, mask: selected.append(pool) or real(pool, mask))
+    assert engine.count_tensor(requests).tolist() == counts.tolist()
+    (left_pool, _), (right_pool, _) = kept_pools(engine, window, gaps[0])[1]
+    assert not any(pool is right_pool for pool in selected)
+    assert any(pool is left_pool for pool in selected)
+
+
+def test_union_at_nine_distances_counts_each_distance_alone(small_corpus):
+    """Each gap's union merge is thinned at nine distances in one kernel
+    call, across two chunks of radii; the counts are those of a fresh
+    engine per distance."""
+    dists = (0.1, 0.14, 0.18, 0.22, 0.26, 0.3, 0.34, 0.38, 0.42)
+    grid = ParamGrid(smooth_single=(0.1,), min_peak_amp=(0.04, 0.2), min_peak_gap=(0.22, 0.4), fuse_min_dist=dists)
+    union = AlgorithmId.HIGH_LEVEL_UNION
+    points = grid.points(union)
+    counts = CorpusEngine(small_corpus).count_tensor([(union, p) for p in points])
+    for dist in dists:
+        rows = [i for i, p in enumerate(points) if p.fuse_min_dist == dist]
+        alone = CorpusEngine(small_corpus).count_tensor([(union, points[i]) for i in rows])
+        assert counts[rows].tolist() == alone.tolist()
 
 
 def test_gap_rebuilt_at_a_lower_floor_leaves_the_others_on_the_first_build(small_corpus):

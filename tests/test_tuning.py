@@ -1,4 +1,4 @@
-"""Parameter grids, fold construction, grid search, cross-validation."""
+"""Parameter grids, fold construction, cross-validation."""
 import numpy as np
 import pytest
 
@@ -10,7 +10,6 @@ from dualwrist import (
     WalkTask,
     cross_validate,
     cross_validate_study,
-    grid_search,
     make_folds,
     rmse,
     simulate_corpus,
@@ -155,43 +154,6 @@ SMALL_GRID = ParamGrid(
 )
 
 
-class TestGridSearch:
-    def test_result_is_grid_member_and_minimal(self, tune_corpus):
-        recs, engine = tune_corpus
-        labels = [r.ground_truth.label_count for r in recs]
-        for alg in (AlgorithmId.NO_FUSION_LEFT, AlgorithmId.HIGH_LEVEL_UNION):
-            best = grid_search(recs, alg, SMALL_GRID, engine=engine)
-            pts = SMALL_GRID.points(alg)
-            assert best in pts
-            best_err = rmse([len(engine.steps(alg, r.id, best)) for r in recs], labels)
-            # Exhaustive re-scan: nothing in the grid beats the winner, and the
-            # winner is the first grid point achieving its score.
-            for p in pts:
-                err = rmse([len(engine.steps(alg, r.id, p)) for r in recs], labels)
-                assert err >= best_err
-                if err == best_err:
-                    assert p == best
-                    break
-
-    def test_single_point_grid(self, tune_corpus):
-        recs, engine = tune_corpus
-        grid = ParamGrid(smooth_single=(0.1,), min_peak_amp=(0.1,), min_peak_gap=(0.3,))
-        best = grid_search(recs, AlgorithmId.NO_FUSION_LEFT, grid, engine=engine)
-        assert best == DetectorParams(smooth_single=0.1, min_peak_amp=0.1, min_peak_gap=0.3)
-
-    def test_empty_train_rejected(self):
-        with pytest.raises(ValueError):
-            grid_search([], AlgorithmId.NO_FUSION_LEFT, ParamGrid())
-
-    def test_missing_ground_truth_rejected(self, tune_corpus):
-        import dataclasses
-
-        recs, _ = tune_corpus
-        bare = dataclasses.replace(recs[0], ground_truth=None, self_count=None)
-        with pytest.raises(ValueError, match=f"recording {bare.id!r} has no ground truth"):
-            grid_search([bare], AlgorithmId.NO_FUSION_LEFT, ParamGrid())
-
-
 class TestCrossValidate:
     def test_report_shape_and_determinism(self, tune_corpus):
         recs, engine = tune_corpus
@@ -220,6 +182,43 @@ class TestCrossValidate:
         pts = SMALL_GRID.points(AlgorithmId.NO_FUSION_RIGHT)
         for p in rep.fold_params:
             assert p in pts
+
+    def test_fold_winners_are_the_first_least_training_rmse(self, tune_corpus):
+        """Each fold's winner is the first grid point with the least RMSE on
+        the other folds, by an exhaustive re-scan of the steps; its test RMSE
+        is that point's on the held-out fold."""
+        recs, engine = tune_corpus
+        labels = np.array([r.ground_truth.label_count for r in recs])
+        folds = make_folds(recs, k=3, seed=5)
+        for alg in (AlgorithmId.NO_FUSION_LEFT, AlgorithmId.HIGH_LEVEL_UNION):
+            rep = cross_validate(recs, alg, SMALL_GRID, k=3, seed=5, engine=engine)
+            pts = SMALL_GRID.points(alg)
+            counts = np.array([[len(engine.steps(alg, r.id, p)) for r in recs] for p in pts])
+            for held_out, test in enumerate(folds):
+                train = [i for f, fold in enumerate(folds) if f != held_out for i in fold]
+                errs = [rmse(row[train], labels[train]) for row in counts]
+                best = errs.index(min(errs))
+                assert rep.fold_params[held_out] == pts[best]
+                assert rep.fold_test_rmse[held_out] == rmse(counts[best, test], labels[test])
+
+    def test_single_point_grid(self, tune_corpus):
+        recs, engine = tune_corpus
+        grid = ParamGrid(smooth_single=(0.1,), min_peak_amp=(0.1,), min_peak_gap=(0.3,))
+        rep = cross_validate(recs, AlgorithmId.NO_FUSION_LEFT, grid, k=3, engine=engine)
+        point = DetectorParams(smooth_single=0.1, min_peak_amp=0.1, min_peak_gap=0.3)
+        assert rep.fold_params == [point] * 3
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            cross_validate([], AlgorithmId.NO_FUSION_LEFT, ParamGrid())
+
+    def test_missing_ground_truth_rejected(self, tune_corpus):
+        import dataclasses
+
+        recs, _ = tune_corpus
+        bare = dataclasses.replace(recs[0], ground_truth=None, self_count=None)
+        with pytest.raises(ValueError, match=f"recording {bare.id!r} has no ground truth"):
+            cross_validate([bare, *recs[1:]], AlgorithmId.NO_FUSION_LEFT, ParamGrid(), k=3)
 
     def test_study_matches_each_cross_validate(self, small_corpus):
         """One study of all six detectors reports what each detector's own
